@@ -19,7 +19,6 @@ from .lattice import (
     Matrix,
     cokernel_invariants,
     is_even,
-    matrix_rank,
     orthogonal_complement,
 )
 from .lines import AMBIENT, RANK, LineSystem, build_line_system
@@ -97,7 +96,8 @@ def invariant_report(mask: int, ls: LineSystem | None = None) -> InvariantReport
     torsion, free_rank = h1_complement(mask, ls)
     return InvariantReport(
         lines=lines_of_mask(mask),
-        span_rank=matrix_rank(classes),
+        # The ambient Gram matrix is unimodular, so the two ranks sum to 7.
+        span_rank=RANK - len(basis),
         perp_rank=len(basis),
         perp_parity="even" if is_even(gram) else "odd",
         h1_torsion=torsion,

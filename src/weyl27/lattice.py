@@ -8,7 +8,6 @@ tuples of tuples so results are hashable and safe to freeze in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -328,10 +327,3 @@ def det(a: Iterable[Sequence[int]]) -> int:
         prev = work[k][k]
     return sign * work[n - 1][n - 1]
 
-
-def _gcd_all(rows: Iterable[Sequence[int]]) -> int:
-    g = 0
-    for row in rows:
-        for x in row:
-            g = gcd(g, x)
-    return g

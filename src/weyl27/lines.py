@@ -16,7 +16,7 @@ p first, then q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -240,6 +240,22 @@ class PermutationGroup:
         self.elements = elements  # shape (order, degree), lex-sorted rows
         self.order = int(elements.shape[0])
         self._byte_index: frozenset[bytes] | None = None
+
+    @cached_property
+    def rev_table(self) -> np.ndarray:
+        """Per-element bit-reversal lookup for the orbit scans.
+
+        Entry [g, i] is 2**(degree - 1 - j) where j is point i's image under
+        element g. Row 0 belongs to the identity because the element table is
+        lex-sorted.
+        """
+        if self.degree > 62:
+            raise ValueError("rev keys need degree <= 62 to fit in int64")
+        first = self.elements[0]
+        if not all(int(first[i]) == i for i in range(self.degree)):
+            raise AssertionError("element table must start with the identity")
+        images = self.elements.astype(np.int64)
+        return np.left_shift(np.int64(1), self.degree - 1 - images)
 
     def __contains__(self, p: Sequence[int]) -> bool:
         if self._byte_index is None:

@@ -13,12 +13,14 @@ where rev(S) = sum over i in S of 2**(degree - 1 - i). Reversing the bit
 significance turns "smallest leading element wins" into plain integer
 comparison, so a mask is a lex-least representative exactly when rev of its
 image is maximal at the identity. That check vectorizes over the dense group
-element table.
+element table. The same scan yields the orbit length: |W| divided by the
+number of rows whose key equals the identity row's (the stabilizer order).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -87,27 +89,8 @@ def _unrev(key: int, degree: int = LINE_COUNT) -> int:
     return mask
 
 
-def _rev_table(group: PermutationGroup) -> np.ndarray:
-    """Per-element bit-reversal lookup, cached on the group object.
-
-    Entry [g, i] is the rev contribution of point i's image under element g.
-    Row 0 belongs to the identity because the element table is lex-sorted.
-    """
-    tbl = getattr(group, "_rev_bits", None)
-    if tbl is None:
-        if group.degree > 62:
-            raise ValueError("rev keys need degree <= 62 to fit in int64")
-        images = group.elements.astype(np.int64)
-        tbl = np.left_shift(np.int64(1), group.degree - 1 - images)
-        first = group.elements[0]
-        if not all(int(first[i]) == i for i in range(group.degree)):
-            raise AssertionError("element table must start with the identity")
-        group._rev_bits = tbl
-    return tbl
-
-
 def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
-    tbl = _rev_table(group)
+    tbl = group.rev_table
     idx = _bit_indices(mask)
     if not idx:
         return np.zeros(tbl.shape[0], dtype=np.int64)
@@ -123,7 +106,7 @@ def is_minimal(mask: int, group: PermutationGroup, chunk: int = 8192) -> bool:
     idx = _bit_indices(mask)
     if not idx:
         return True
-    tbl = _rev_table(group)
+    tbl = group.rev_table
     own = rev_key(mask, group.degree)
     for start in range(0, tbl.shape[0], chunk):
         part = tbl[start : start + chunk, idx].sum(axis=1)
@@ -153,14 +136,16 @@ def orbit_masks(mask: int, group: PermutationGroup) -> list[int]:
 
 def _extend_batch(
     parents: Sequence[int], tbl: np.ndarray, degree: int
-) -> list[int]:
-    """Children of lex-sorted minimal parents, in lex order.
+) -> list[tuple[int, int]]:
+    """Children of lex-sorted minimal parents, in lex order, with orbit lengths.
 
     Every child of a minimal arrangement adds a line past the parent's last
-    one; appending keeps parent order, so the output needs no sort.
+    one; appending keeps parent order, so the output needs no sort. A kept
+    child's key column is its whole orbit scan, so its orbit length is read
+    off the same column: order // (rows whose key equals the identity row's).
     """
     order = tbl.shape[0]
-    out: list[int] = []
+    out: list[tuple[int, int]] = []
     for mask in parents:
         idx = _bit_indices(mask)
         if idx:
@@ -175,7 +160,9 @@ def _extend_batch(
         cand_keys = parent_keys[:, None] + tbl[:, cands]
         keep = cand_keys.max(axis=0) == cand_keys[0]
         for offset in np.flatnonzero(keep):
-            out.append(mask | (1 << int(cands[offset])))
+            column = cand_keys[:, offset]
+            stab = int(np.count_nonzero(column == column[0]))
+            out.append((mask | (1 << int(cands[offset])), order // stab))
     return out
 
 
@@ -183,16 +170,10 @@ def _extend_batch(
 _POOL_GROUP: PermutationGroup | None = None
 
 
-def _pool_extend(chunk: Sequence[int]) -> list[int]:
+def _pool_extend(chunk: Sequence[int]) -> list[tuple[int, int]]:
     group = _POOL_GROUP
     assert group is not None
-    return _extend_batch(chunk, _rev_table(group), group.degree)
-
-
-def _pool_sizes(chunk: Sequence[int]) -> list[int]:
-    group = _POOL_GROUP
-    assert group is not None
-    return [orbit_size(mask, group) for mask in chunk]
+    return _extend_batch(chunk, group.rev_table, group.degree)
 
 
 def _chunks(items: Sequence, pieces: int) -> list[Sequence]:
@@ -212,42 +193,7 @@ def extend_minimal(reps: Sequence[int], group: PermutationGroup) -> list[int]:
     if len(sizes) > 1:
         raise ValueError("representatives must share a cardinality")
     ordered = sorted(reps, key=lambda m: rev_key(m, group.degree), reverse=True)
-    return _extend_batch(ordered, _rev_table(group), group.degree)
-
-
-def enumerate_minimal(
-    group: PermutationGroup, max_n: int | None = None, workers: int = 1
-) -> list[list[int]]:
-    """Lex-least orbit representatives, grouped by arrangement size.
-
-    Level n of the result lists every minimal representative with n lines,
-    lex-sorted. Workers > 1 forks a process pool and splits each level; the
-    output is identical for any worker count.
-    """
-    limit = group.degree if max_n is None else max_n
-    if not 0 <= limit <= group.degree:
-        raise ValueError(f"max_n out of range: {max_n}")
-    tbl = _rev_table(group)
-    levels: list[list[int]] = [[0]]
-    pool = _start_pool(group, workers)
-    try:
-        while len(levels) <= limit:
-            parents = levels[-1]
-            if pool is None or len(parents) < 2 * workers:
-                children = _extend_batch(parents, tbl, group.degree)
-            else:
-                children = []
-                for part in pool.map(_pool_extend, _chunks(parents, workers)):
-                    children.extend(part)
-            levels.append(children)
-            if not children:
-                break
-        while len(levels) <= limit:
-            levels.append([])
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return levels
+    return [mask for mask, _ in _extend_batch(ordered, group.rev_table, group.degree)]
 
 
 @dataclass(frozen=True)
@@ -272,32 +218,56 @@ class OrbitRecord:
 def enumerate_all(
     group: PermutationGroup, max_n: int | None = None, workers: int = 1
 ) -> list[OrbitRecord]:
-    """Every orbit as an OrbitRecord, sorted by (size, lex of representative)."""
-    levels = enumerate_minimal(group, max_n=max_n, workers=workers)
-    flat = [mask for level in levels for mask in level]
+    """Every orbit as an OrbitRecord, sorted by (size, lex of representative).
+
+    One pass builds each level of minimal representatives, with their orbit
+    lengths, from the level below, up to max_n lines. Workers > 1 forks one
+    process pool and splits each level across it; the output is identical
+    for any worker count.
+    """
+    limit = group.degree if max_n is None else max_n
+    if not 0 <= limit <= group.degree:
+        raise ValueError(f"max_n out of range: {max_n}")
+    tbl = group.rev_table
+    records = [OrbitRecord(mask=0, orbit_size=1)]
+    parents = [0]
     pool = _start_pool(group, workers)
     try:
-        if pool is None or len(flat) < 2 * workers:
-            sizes = [orbit_size(mask, group) for mask in flat]
-        else:
-            sizes = []
-            for part in pool.map(_pool_sizes, _chunks(flat, 4 * workers)):
-                sizes.extend(part)
+        for _ in range(limit):
+            if pool is None or len(parents) < 2 * workers:
+                children = _extend_batch(parents, tbl, group.degree)
+            else:
+                children = []
+                for part in pool.map(_pool_extend, _chunks(parents, workers)):
+                    children.extend(part)
+            if not children:
+                break
+            records.extend(OrbitRecord(mask=m, orbit_size=s) for m, s in children)
+            parents = [m for m, _ in children]
     finally:
         if pool is not None:
             pool.shutdown()
-    return [OrbitRecord(mask=m, orbit_size=s) for m, s in zip(flat, sizes)]
+    return records
 
 
 def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | None:
-    """Forked pool sharing the group table, or None for in-process work."""
+    """Forked pool sharing the group table, or None for in-process work.
+
+    Without the fork start method the work runs in-process, with a warning.
+    """
     if workers <= 1:
         return None
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
+        warnings.warn(
+            f"no fork start method on this platform; running serially instead of "
+            f"with {workers} workers",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return None
     global _POOL_GROUP
-    _rev_table(group)  # build before forking so children inherit it
+    group.rev_table  # build before forking so children inherit it
     _POOL_GROUP = group
     return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)

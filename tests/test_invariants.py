@@ -9,7 +9,7 @@ from weyl27.invariants import (
     perp_parity,
     restriction_matrix,
 )
-from weyl27.lattice import gram_of, is_even, orthogonal_complement
+from weyl27.lattice import gram_of, is_even, matrix_rank, orthogonal_complement
 from weyl27.lines import AMBIENT, weyl_group
 from weyl27.orbits import FULL_MASK, apply_perm, mask_from_lines
 
@@ -92,6 +92,13 @@ def test_report_fields_are_consistent():
         for a, b in zip(rep.h1_torsion, rep.h1_torsion[1:]):
             assert b % a == 0
         assert rep.perp_parity in ("even", "odd")
+
+
+def test_span_rank_matches_rank_of_classes(ctx):
+    # the report derives span_rank from the complement; check it directly
+    assert len(ctx.reports) == len(ctx.records) == 5486
+    for r, rep in zip(ctx.records, ctx.reports):
+        assert rep.span_rank == matrix_rank(class_vectors(r.mask, ctx.ls))
 
 
 def test_invariants_constant_on_orbits():

@@ -1,5 +1,6 @@
 """Orbit enumeration under the line permutation group."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from weyl27.orbits import (
     OrbitRecord,
     apply_perm,
     enumerate_all,
-    enumerate_minimal,
     extend_minimal,
     is_minimal,
     lex_less,
@@ -202,11 +202,12 @@ def test_orbit_masks():
 # -------------------------------------------------------------- enumeration
 
 
-def test_enumerate_minimal_level_counts():
+def test_enumerate_all_level_counts():
     group = weyl_group()
-    levels = enumerate_minimal(group, max_n=6)
-    assert [len(lv) for lv in levels] == [1, 1, 2, 4, 8, 18, 39]
-    assert levels[0] == [0]
+    records = enumerate_all(group, max_n=6)
+    counts = [sum(1 for r in records if r.n == n) for n in range(7)]
+    assert counts == [1, 1, 2, 4, 8, 18, 39]
+    assert records[0] == OrbitRecord(mask=0, orbit_size=1)
 
 
 def test_enumerate_all_capped():
@@ -231,11 +232,34 @@ def test_enumerate_all_capped():
 
 def test_enumerate_all_worker_determinism():
     group = weyl_group()
-    serial = enumerate_all(group, max_n=5, workers=1)
-    forked = enumerate_all(group, max_n=5, workers=2)
+    # past five lines the levels have dozens of parents to split across the pool
+    serial = enumerate_all(group, max_n=8, workers=1)
+    forked = enumerate_all(group, max_n=8, workers=2)
     assert [(r.mask, r.orbit_size) for r in serial] == [
         (r.mask, r.orbit_size) for r in forked
     ]
+
+
+def test_enumerate_all_warns_without_fork(monkeypatch):
+    group = weyl_group()
+    serial = enumerate_all(group, max_n=5, workers=1)
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with pytest.warns(RuntimeWarning, match="serially"):
+        fallback = enumerate_all(group, max_n=5, workers=2)
+    assert fallback == serial
+
+
+def test_enumerated_orbit_sizes_match_rescan(ctx):
+    # the sizes come from the enumeration scan; orbit_size is the reference
+    rng = random.Random(427)
+    sample = [r for r in ctx.records if r.n <= 4]
+    sample += rng.sample(ctx.records, 100)
+    for r in sample:
+        assert r.orbit_size == orbit_size(r.mask, ctx.group)
 
 
 def test_returned_reps_are_fixed_by_no_smaller_image(ctx):
