@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -58,11 +59,44 @@ def _default_workers() -> int:
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write to stdout, or to --output, replacing a regular file atomically.
+
+    A missing or regular target is written beside itself under a temporary
+    name, given the old file's mode, and renamed over it, so a write that
+    fails partway leaves any old file as it was and removes the partial one.
+    Anything else (a device such as /dev/null, a FIFO, a pipe) and a file in
+    a directory we cannot create files in are written in place.
+    """
+    if not cfg.output_path:
         sys.stdout.write(text)
+        return
+    target = cfg.output_path
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    fh = None
+    if mode is None or stat.S_ISREG(mode):
+        target = os.path.realpath(target)
+        directory, name = os.path.split(target)
+        partial = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        try:
+            fh = open(partial, "x", encoding="utf-8")
+        except PermissionError:
+            pass
+    if fh is None:
+        with open(target, "w", encoding="utf-8") as out:
+            out.write(text)
+        return
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(partial, stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _csv_table(rows: list[list], header: list[str]) -> str:

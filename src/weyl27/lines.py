@@ -243,19 +243,31 @@ class PermutationGroup:
 
     @cached_property
     def rev_table(self) -> np.ndarray:
-        """Per-element bit-reversal lookup for the orbit scans.
+        """Per-element bit-reversal lookup for the orbit scans, as int32.
 
-        Entry [g, i] is 2**(degree - 1 - j) where j is point i's image under
-        element g. Row 0 belongs to the identity because the element table is
-        lex-sorted.
+        Entry [r, i] is 2**(degree - 1 - j) where j is point i's image under
+        the element of row r. Rows are ordered by the point each element
+        sends to point 0: block p, rows [p * B, (p + 1) * B) with
+        B = order // degree, holds exactly the elements g with g(p) = 0.
+        Within a block the rows keep the lex order of the element table, so
+        row 0 is the identity. The table is stored column-major, so the
+        scans, which sum columns, read each point's column contiguously. A
+        key is a sum of distinct entries of one row, at most 2**degree - 1,
+        which is exact in int32 for degree <= 31. The blocks are all the
+        same size exactly when the group is transitive; otherwise this
+        raises ValueError, because the block-pruned scans of the orbit
+        enumeration would be unsound.
         """
-        if self.degree > 62:
-            raise ValueError("rev keys need degree <= 62 to fit in int64")
+        if self.degree > 31:
+            raise ValueError("rev keys need degree <= 31 to fit in int32")
         first = self.elements[0]
         if not all(int(first[i]) == i for i in range(self.degree)):
             raise AssertionError("element table must start with the identity")
-        images = self.elements.astype(np.int64)
-        return np.left_shift(np.int64(1), self.degree - 1 - images)
+        to_zero = np.argmax(self.elements == 0, axis=1)
+        if np.any(np.bincount(to_zero, minlength=self.degree) != self.order // self.degree):
+            raise ValueError("rev table blocks need a transitive group")
+        images = self.elements[np.argsort(to_zero, kind="stable")].T.copy()
+        return np.left_shift(1, self.degree - 1 - images, dtype=np.int32).T
 
     def __contains__(self, p: Sequence[int]) -> bool:
         if self._byte_index is None:

@@ -15,6 +15,18 @@ comparison, so a mask is a lex-least representative exactly when rev of its
 image is maximal at the identity. That check vectorizes over the dense group
 element table. The same scan yields the orbit length: |W| divided by the
 number of rows whose key equals the identity row's (the stabilizer order).
+
+The enumeration scans only part of the table. The group is transitive, so
+every orbit of nonempty arrangements has a member containing line 1, and
+that member outranks every arrangement without line 1: a nonempty minimal
+representative contains line 1. An image g(S) can then beat S only if it
+contains line 1, that is, only if g(p) = line 1 for some p in S, and every
+g that fixes S also sends some p in S to line 1. PermutationGroup.rev_table
+stores those elements as blocks, one per p (the coset of the stabilizer of
+line 1 that maps p there), so a child S is scanned over its |S| blocks
+rather than over the whole group. This is the first step of Linton's
+stabilizer-chain search for the smallest image of a set. It needs a
+transitive group; rev_table refuses any other.
 """
 
 from __future__ import annotations
@@ -93,7 +105,7 @@ def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
     tbl = group.rev_table
     idx = _bit_indices(mask)
     if not idx:
-        return np.zeros(tbl.shape[0], dtype=np.int64)
+        return np.zeros(tbl.shape[0], dtype=tbl.dtype)
     return tbl[:, idx].sum(axis=1)
 
 
@@ -140,29 +152,46 @@ def _extend_batch(
     """Children of lex-sorted minimal parents, in lex order, with orbit lengths.
 
     Every child of a minimal arrangement adds a line past the parent's last
-    one; appending keeps parent order, so the output needs no sort. A kept
-    child's key column is its whole orbit scan, so its orbit length is read
-    off the same column: order // (rows whose key equals the identity row's).
+    one; appending keeps parent order, so the output needs no sort. tbl is
+    laid out as PermutationGroup.rev_table. A child scans the blocks of its
+    own lines only: the parent's blocks for every candidate at once, and
+    block c for candidate c alone, where g(c) = line 1 adds the top key bit.
+    The child is kept when no row of either part beats the identity's key,
+    and the stabilizer count over the same rows gives its orbit length.
+    The empty parent scans the whole table. A nonempty parent without
+    line 1 is not minimal, and raises ValueError.
     """
     order = tbl.shape[0]
+    block = order // degree
+    top = 1 << (degree - 1)
+    cols = tbl.T.reshape(degree, degree, block)  # [point, block, row in block]
     out: list[tuple[int, int]] = []
     for mask in parents:
         idx = _bit_indices(mask)
-        if idx:
-            parent_keys = tbl[:, idx].sum(axis=1)
-            first_cand = idx[-1] + 1
-        else:
-            parent_keys = np.zeros(order, dtype=np.int64)
-            first_cand = 0
+        if not idx:
+            keep = tbl.max(axis=0) == tbl[0]
+            for c in np.flatnonzero(keep):
+                stab = int(np.count_nonzero(tbl[:, c] == tbl[0, c]))
+                out.append((1 << int(c), order // stab))
+            continue
+        if idx[0] != 0:
+            raise ValueError(f"{list(lines_of_mask(mask))} lacks line 1, so it is not minimal")
+        first_cand = idx[-1] + 1
         if first_cand >= degree:
             continue
-        cands = np.arange(first_cand, degree)
-        cand_keys = parent_keys[:, None] + tbl[:, cands]
-        keep = cand_keys.max(axis=0) == cand_keys[0]
+        # Blocks of the parent's lines, for every candidate at once.
+        parent_keys = cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32)
+        cand_keys = (cols[first_cand:, idx] + parent_keys).reshape(degree - first_cand, -1)
+        own_keys = cand_keys[:, 0]  # the identity leads block 0
+        # Block c for candidate c alone.
+        new_keys = cols[idx, first_cand:].sum(axis=0, dtype=np.int32) + top
+        keep = (cand_keys.max(axis=1) == own_keys) & (new_keys.max(axis=1) <= own_keys)
         for offset in np.flatnonzero(keep):
-            column = cand_keys[:, offset]
-            stab = int(np.count_nonzero(column == column[0]))
-            out.append((mask | (1 << int(cands[offset])), order // stab))
+            own = own_keys[offset]
+            stab = int(np.count_nonzero(cand_keys[offset] == own)) + int(
+                np.count_nonzero(new_keys[offset] == own)
+            )
+            out.append((mask | (1 << (first_cand + int(offset))), order // stab))
     return out
 
 
@@ -187,7 +216,8 @@ def extend_minimal(reps: Sequence[int], group: PermutationGroup) -> list[int]:
     """All minimal representatives one line bigger than the given level.
 
     Expects the complete lex-sorted list of minimal representatives of one
-    size; returns the complete lex-sorted list of the next size.
+    size; returns the complete lex-sorted list of the next size. A nonempty
+    arrangement without line 1 is never minimal and raises ValueError.
     """
     sizes = {mask.bit_count() for mask in reps}
     if len(sizes) > 1:

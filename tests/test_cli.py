@@ -1,8 +1,11 @@
 """Command-line interface: formats, routing, exit codes."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -92,6 +95,85 @@ def test_group_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "order: 51840"
+
+
+def test_output_is_replaced_atomically(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "gens.txt"
+    target.write_text("old contents\n")
+    real_open = open
+
+    class FailsPartway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(
+        cli, "open", lambda *a, **kw: FailsPartway(real_open(*a, **kw)), raising=False
+    )
+    code, out, err = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    assert code == 1
+    assert "No space left on device" in err
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
+
+    monkeypatch.undo()
+    code, out, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    assert code == 0
+    assert out == ""
+    assert target.read_text().splitlines() == EXPECTED_CYCLES
+    assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
+
+
+def test_output_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
+    target = tmp_path / "gens.txt"
+    target.write_text("old contents\n")
+    target.chmod(0o600)
+    code, _, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    assert code == 0
+    assert target.read_text().splitlines() == EXPECTED_CYCLES
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "gens.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, _ = run(["export-gap", "--output", str(fifo), "--workers", "1"], capsys)
+    reader.join(timeout=30)
+    assert code == 0
+    assert out == ""
+    assert received[0].splitlines() == EXPECTED_CYCLES
+    assert [p.name for p in tmp_path.iterdir()] == ["gens.fifo"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_output_in_a_directory_without_room_for_a_temp_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "gens.txt"
+    target.write_text("old contents\n")
+    real_open = open
+
+    def no_new_files(path, mode="r", **kw):
+        if "x" in mode:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, mode, **kw)
+
+    monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+    code, _, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    assert code == 0
+    assert target.read_text().splitlines() == EXPECTED_CYCLES
+    assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
 
 
 # ---------------------------------------------------------------- enumerate

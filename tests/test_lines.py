@@ -222,6 +222,29 @@ def test_group_is_transitive_on_lines():
     assert seen == set(range(27))
 
 
+def test_rev_table_is_blocked_by_the_point_sent_to_line_1():
+    group = weyl_group()
+    tbl = group.rev_table
+    block = group.order // group.degree
+    assert tbl.dtype == np.int32
+    assert tbl.shape == (group.order, group.degree) == (27 * block, 27)
+    images = group.degree - 1 - np.log2(tbl).astype(np.int64)
+    assert (images[0] == np.arange(27)).all()  # the identity is row 0
+    for p in range(27):
+        rows = images[p * block : (p + 1) * block]
+        assert (rows[:, p] == 0).all()
+        # each block keeps the lex order of the element table
+        assert (np.lexsort(rows.T[::-1]) == np.arange(block)).all()
+    # the rows are the element table, reordered
+    assert (images[np.lexsort(images.T[::-1])] == group.elements).all()
+
+
+def test_rev_table_rejects_an_intransitive_group():
+    one_reflection = generate_group([standard_generators()[0]])
+    with pytest.raises(ValueError, match="transitive"):
+        one_reflection.rev_table
+
+
 def test_every_element_pulls_back_to_an_isometry_fixing_the_canonical_class():
     # line 7 has class h - e1 - e2, so h is the sum of classes 7, 1, 2 and
     # the basis image of any permutation can be assembled from line classes

@@ -2,7 +2,9 @@
 
 import multiprocessing
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from weyl27.lines import standard_generators, weyl_group
@@ -158,6 +160,26 @@ def test_extension_output_is_sorted_and_duplicate_free():
         assert is_minimal(m, group)
 
 
+def test_extend_minimal_matches_full_table_scan(ctx):
+    # the block-pruned scan keeps exactly the children the full scan keeps
+    rng = random.Random(428)
+    sample = [r.mask for r in ctx.records if 1 <= r.n <= 5]
+    for n in (13, 14):
+        sample += rng.sample([r.mask for r in ctx.records if r.n == n], 20)
+    for parent in sample:
+        expected = [
+            parent | (1 << c)
+            for c in range(parent.bit_length(), 27)
+            if is_minimal(parent | (1 << c), ctx.group)
+        ]
+        assert extend_minimal([parent], ctx.group) == expected
+
+
+def test_extend_minimal_rejects_a_parent_without_line_1():
+    with pytest.raises(ValueError, match="line 1"):
+        extend_minimal([mask_from_lines([2, 5])], weyl_group())
+
+
 # -------------------------------------------------------------- orbit sizes
 
 
@@ -260,6 +282,35 @@ def test_enumerated_orbit_sizes_match_rescan(ctx):
     sample += rng.sample(ctx.records, 100)
     for r in sample:
         assert r.orbit_size == orbit_size(r.mask, ctx.group)
+
+
+def test_level_counts_match_burnside(ctx):
+    # Burnside: the number of orbits of k-subsets is the mean over the group
+    # of the x**k coefficient of prod over cycles (1 + x**len); read off the
+    # element table alone, apart from the enumeration
+    el = ctx.group.elements.astype(np.intp)
+    points = np.arange(el.shape[1])
+    step = el.copy()  # g**k applied to each point, for k = 1, 2, ...
+    length = np.zeros_like(el)
+    for k in range(1, el.shape[1] + 1):
+        length[(step == points) & (length == 0)] = k
+        step = np.take_along_axis(el, step, axis=1)
+    types, counts = np.unique(np.sort(length, axis=1), axis=0, return_counts=True)
+    total = [0] * 28
+    for lengths, count in zip(types.tolist(), counts.tolist()):
+        poly = [1]
+        for cycle, points_on in Counter(lengths).items():
+            for _ in range(points_on // cycle):
+                poly = [a + b for a, b in zip(poly + [0] * cycle, [0] * cycle + poly)]
+        total = [t + count * c for t, c in zip(total, poly)]
+    assert len(types) == 20
+    assert all(t % ctx.group.order == 0 for t in total)
+    burnside = [t // ctx.group.order for t in total]
+    assert sum(burnside) == 5486
+    by_n = [0] * 28
+    for r in ctx.records:
+        by_n[r.n] += 1
+    assert by_n == burnside
 
 
 def test_returned_reps_are_fixed_by_no_smaller_image(ctx):
