@@ -25,7 +25,7 @@ from .graphs import (
     find_zariski_pairs,
     intersection_graph,
 )
-from .invariants import h1_complement, invariant_report, perp_parity
+from .invariants import invariant_report
 from .lines import (
     LINE_COUNT,
     LineSystem,
@@ -421,17 +421,22 @@ def _certificate_suite(max_vertices: int = 5) -> str | None:
     return None
 
 
+def _parity_and_h1(mask: int, ls: LineSystem) -> tuple:
+    report = invariant_report(mask, ls)
+    return report.perp_parity, report.h1_torsion, report.h1_free_rank
+
+
 def _invariance_suite(ctx: PipelineContext) -> str | None:
     checked = 0
     for r in ctx.records:
         if r.n > 3:
             break
-        base = (perp_parity(r.mask, ctx.ls), h1_complement(r.mask, ctx.ls))
+        base = _parity_and_h1(r.mask, ctx.ls)
         members = orbit_masks(r.mask, ctx.group)
         if len(members) != r.orbit_size:
             return f"orbit of {list(r.min_rep)} has {len(members)} members, size says {r.orbit_size}"
         for member in members:
-            if (perp_parity(member, ctx.ls), h1_complement(member, ctx.ls)) != base:
+            if _parity_and_h1(member, ctx.ls) != base:
                 return f"invariants vary inside the orbit of {list(r.min_rep)}"
             checked += 1
     if checked != sum(r.orbit_size for r in ctx.records if r.n <= 3):

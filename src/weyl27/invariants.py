@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 from .lattice import (
     Matrix,
-    cokernel_invariants,
+    gram_of,
+    hermite_normal_form,
     is_even,
-    orthogonal_complement,
+    smith_normal_form,
 )
 from .lines import AMBIENT, RANK, LineSystem, build_line_system
 from .orbits import lines_of_mask
@@ -60,16 +61,8 @@ def restriction_matrix(mask: int, ls: LineSystem | None = None) -> Matrix:
     Gram matrix, so the map lands in one Z summand per line. The cokernel of
     this matrix carries the first homology of the complement of the union.
     """
-    ls = ls or build_line_system()
-    rows = []
-    for cls in class_vectors(mask, ls):
-        rows.append(
-            tuple(
-                sum(AMBIENT.gram[j][i] * cls[i] for i in range(RANK))
-                for j in range(RANK)
-            )
-        )
-    return tuple(rows)
+    rows = (ls or build_line_system()).pairing_rows
+    return tuple(rows[number - 1] for number in lines_of_mask(mask))
 
 
 def perp_parity(mask: int, ls: LineSystem | None = None) -> str:
@@ -79,27 +72,37 @@ def perp_parity(mask: int, ls: LineSystem | None = None) -> str:
     otherwise. The rank-0 complement counts as even; the empty arrangement
     has the whole ambient lattice as complement and comes out odd.
     """
-    _, gram = orthogonal_complement(class_vectors(mask, ls), AMBIENT)
-    return "even" if is_even(gram) else "odd"
+    return invariant_report(mask, ls).perp_parity
 
 
 def h1_complement(mask: int, ls: LineSystem | None = None) -> tuple[tuple[int, ...], int]:
     """Torsion (invariant factors > 1, in divisibility order) and free rank."""
-    matrix = restriction_matrix(mask, ls)
-    return cokernel_invariants(matrix, target_rank=len(matrix))
+    report = invariant_report(mask, ls)
+    return report.h1_torsion, report.h1_free_rank
 
 
 def invariant_report(mask: int, ls: LineSystem | None = None) -> InvariantReport:
-    ls = ls or build_line_system()
-    classes = class_vectors(mask, ls)
-    basis, gram = orthogonal_complement(classes, AMBIENT)
-    torsion, free_rank = h1_complement(mask, ls)
+    """Both invariants from one normal-form pass over the restriction matrix.
+
+    The restriction matrix A is U * [H; 0] for its Hermite form H (at most 7
+    rows) and some unimodular U, so A and H share their elementary divisors
+    and their kernel, which is the orthogonal complement of the span. The
+    Smith form of H gives both: its divisors are the invariant factors of
+    the cokernel, and the columns of v past the rank are a kernel basis.
+    The ambient Gram matrix is unimodular, so rank(A) is the span rank.
+    """
+    lines = lines_of_mask(mask)
+    # the empty arrangement has no rows; one zero row keeps the width at 7
+    hnf = hermite_normal_form(restriction_matrix(mask, ls)) or ((0,) * RANK,)
+    snf = smith_normal_form(hnf)
+    divisors = snf.divisors()
+    rank = len(divisors)
+    kernel = [tuple(row[j] for row in snf.v) for j in range(rank, RANK)]
     return InvariantReport(
-        lines=lines_of_mask(mask),
-        # The ambient Gram matrix is unimodular, so the two ranks sum to 7.
-        span_rank=RANK - len(basis),
-        perp_rank=len(basis),
-        perp_parity="even" if is_even(gram) else "odd",
-        h1_torsion=torsion,
-        h1_free_rank=free_rank,
+        lines=lines,
+        span_rank=rank,
+        perp_rank=RANK - rank,
+        perp_parity="even" if is_even(gram_of(kernel, AMBIENT)) else "odd",
+        h1_torsion=tuple(d for d in divisors if d > 1),
+        h1_free_rank=len(lines) - rank,
     )

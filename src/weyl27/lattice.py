@@ -8,6 +8,7 @@ tuples of tuples so results are hashable and safe to freeze in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -15,7 +16,7 @@ Vector = tuple[int, ...]
 
 
 def _to_rows(a: Iterable[Sequence[int]]) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in a]
+    rows = [list(map(int, row)) for row in a]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -24,11 +25,14 @@ def _to_rows(a: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def _freeze(rows: Iterable[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,7 @@ def inner_product(x: Sequence[int], y: Sequence[int], lat: GramLattice) -> int:
     """Pairing <x, y> = x * G * y^T in the given lattice."""
     if len(x) != lat.rank or len(y) != lat.rank:
         raise ValueError("vector length must equal lattice rank")
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = lat.gram[i]
-            total += xi * sum(row[j] * y[j] for j in range(lat.rank) if y[j])
-    return total
+    return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, lat.gram) if xi)
 
 
 def gram_of(vectors: Sequence[Sequence[int]], lat: GramLattice) -> Matrix:
@@ -134,12 +133,15 @@ def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
 
     t = 0
     while t < min(m, n):
-        best = None
+        best, size = None, 0
         for i in range(t, m):
+            row = work[i]
             for j in range(t, n):
-                w = work[i][j]
-                if w and (best is None or abs(w) < abs(work[best[0]][best[1]])):
-                    best = (i, j)
+                w = abs(row[j])
+                if w and (best is None or w < size):
+                    best, size = (i, j), w
+            if size == 1:
+                break  # nothing later can be strictly smaller
         if best is None:
             break
         swap_rows(t, best[0])
@@ -170,21 +172,27 @@ def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
                 break
         t += 1
 
-    # enforce the divisibility chain d[k] | d[k+1]
+    # enforce the divisibility chain d[k] | d[k+1]: each fix-up replaces a
+    # pair by (gcd, lcm), which can break the pair before it, so sweep until
+    # a whole pass changes nothing
     r = t
-    for k in range(r - 1):
-        a_, b_ = work[k][k], work[k + 1][k + 1]
-        if b_ % a_ == 0:
-            continue
-        col_sub(k, k + 1, -1)  # puts b below a in column k
-        while work[k + 1][k]:
-            q = work[k][k] // work[k + 1][k]
-            row_sub(k, k + 1, q)
-            swap_rows(k, k + 1)
-        # gcd now at (k, k); the leftover in row k is a multiple of it
-        col_sub(k + 1, k, work[k][k + 1] // work[k][k])
-        if work[k + 1][k + 1] < 0:
-            negate_row(k + 1)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(r - 1):
+            a_, b_ = work[k][k], work[k + 1][k + 1]
+            if b_ % a_ == 0:
+                continue
+            changed = True
+            col_sub(k, k + 1, -1)  # puts b below a in column k
+            while work[k + 1][k]:
+                q = work[k][k] // work[k + 1][k]
+                row_sub(k, k + 1, q)
+                swap_rows(k, k + 1)
+            # gcd now at (k, k); the leftover in row k is a multiple of it
+            col_sub(k + 1, k, work[k][k + 1] // work[k][k])
+            if work[k + 1][k + 1] < 0:
+                negate_row(k + 1)
 
     return SNFResult(d=_freeze(work), u=_freeze(u), v=_freeze(v))
 
@@ -197,43 +205,66 @@ def matrix_rank(a: Iterable[Sequence[int]]) -> int:
     return smith_normal_form(a).rank()
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s * a + t * b == g, where g is gcd(a, b) up to sign."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
 def hermite_normal_form(a: Iterable[Sequence[int]]) -> Matrix:
     """Row-style Hermite normal form with zero rows dropped.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and rows are ordered by pivot column.
+    [0, pivot), and rows are ordered by pivot column. Rows enter an echelon
+    basis one at a time; when a row meets the pivot of its leading column,
+    a unimodular extended-gcd step puts the gcd in the basis. Once every
+    column has a pivot of 1 or -1 the basis spans all of Z^n and the rows
+    not yet read cannot change it.
     """
     work = _to_rows(a)
-    m = len(work)
-    n = len(work[0]) if m else 0
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, m) if work[i][j]]
-            if not nz:
-                pivot_row = None
+    n = len(work[0]) if work else 0
+    echelon: list[list[int] | None] = [None] * n  # by leading column
+    units = 0
+    for row in work:
+        for j in range(n):
+            x = row[j]
+            if not x:
+                continue
+            pivot = echelon[j]
+            if pivot is None:
+                echelon[j] = row
+                units += abs(x) == 1
                 break
-            i0 = min(nz, key=lambda i: (abs(work[i][j]), i))
-            if work[i0][j] < 0:
-                work[i0] = [-x for x in work[i0]]
-            if len(nz) == 1:
-                pivot_row = i0
-                break
-            p = work[i0][j]
-            for i in nz:
-                if i != i0:
-                    q = work[i][j] // p
-                    work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-        if pivot_row is None:
+            p = pivot[j]
+            if x % p == 0:
+                q = x // p
+                row = [c - q * d for c, d in zip(row, pivot)]
+            else:
+                # [[s, t], [-x/g, p/g]] has determinant 1
+                g, s, t = _xgcd(p, x)
+                echelon[j] = [s * d + t * c for c, d in zip(row, pivot)]
+                units += abs(p) != 1 and abs(g) == 1
+                pg, xg = p // g, x // g
+                row = [pg * c - xg * d for c, d in zip(row, pivot)]
+        if units == n:
+            break
+    out: list[list[int]] = []
+    for j, row in enumerate(echelon):
+        if row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][j]
-        for i in range(r):
-            q = work[i][j] // p
+        if row[j] < 0:
+            row = [-c for c in row]
+        p = row[j]
+        for i, above in enumerate(out):
+            q = above[j] // p
             if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return _freeze(work[:r])
+                out[i] = [c - q * d for c, d in zip(above, row)]
+        out.append(row)
+    return _freeze(out)
 
 
 def kernel_basis(a: Iterable[Sequence[int]], ncols: int) -> Matrix:

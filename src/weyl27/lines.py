@@ -64,6 +64,14 @@ class LineSystem:
     classes: Matrix          # classes[i] is line i+1
     inter: Matrix            # inter[i][j] = <classes[i], classes[j]>
 
+    @cached_property
+    def pairing_rows(self) -> Matrix:
+        """Row i is classes[i] times the Gram matrix: x -> <x, line i+1>."""
+        return tuple(
+            tuple(sum(g * c for g, c in zip(row, cls)) for row in AMBIENT.gram)
+            for cls in self.classes
+        )
+
     def line_class(self, number: int) -> Vector:
         """Class of the line with the given 1-based number."""
         if not 1 <= number <= LINE_COUNT:
@@ -279,26 +287,34 @@ def generate_group(generators: Sequence[Perm]) -> PermutationGroup:
     """Closure of the generators under composition, as a sorted table.
 
     Plain breadth-first closure; the identity always sorts first because it
-    is lex-least among permutations.
+    is lex-least among permutations. Elements are held as bytes, so that
+    compose(p, g) is p.translate through g padded to 256 entries, and bytes
+    sort in the same order as the tuples of their values.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = len(generators[0])
     if any(len(g) != degree for g in generators):
         raise ValueError("generators must share a degree")
-    identity = tuple(range(degree))
+    if degree > 256:
+        raise ValueError("element table rows are bytes: degree must be <= 256")
+    if any(sorted(g) != list(range(degree)) for g in generators):
+        raise ValueError("generators must be permutations of range(degree)")
+    identity = bytes(range(degree))
+    steps = [bytes(g) + bytes(range(degree, 256)) for g in generators]
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in generators:
-                q = compose(p, g)
+            for step in steps:
+                q = p.translate(step)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    table = np.array(sorted(seen), dtype=np.uint8)
+    rows = b"".join(sorted(seen))
+    table = np.frombuffer(rows, dtype=np.uint8).reshape(len(seen), degree).copy()
     return PermutationGroup(degree=degree, generators=generators, elements=table)
 
 

@@ -364,11 +364,15 @@ def test_verify_json(ctx, monkeypatch, capsys):
 
 
 def test_verify_subprocess_end_to_end():
+    # the child imports the same weyl27 as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weyl27.cli", "verify", "--workers", "1"],
         capture_output=True,
         text=True,
         timeout=900,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()

@@ -1,5 +1,6 @@
 """Lattice invariants of arrangements: complement parity and h1."""
 
+import dataclasses
 import random
 
 from weyl27.invariants import (
@@ -9,8 +10,15 @@ from weyl27.invariants import (
     perp_parity,
     restriction_matrix,
 )
-from weyl27.lattice import gram_of, is_even, matrix_rank, orthogonal_complement
-from weyl27.lines import AMBIENT, weyl_group
+from weyl27.lattice import (
+    cokernel_invariants,
+    gram_of,
+    inner_product,
+    is_even,
+    matrix_rank,
+    orthogonal_complement,
+)
+from weyl27.lines import AMBIENT, RANK, weyl_group
 from weyl27.orbits import FULL_MASK, apply_perm, mask_from_lines
 
 S1 = mask_from_lines([1, 2, 3, 4, 5])
@@ -99,6 +107,33 @@ def test_span_rank_matches_rank_of_classes(ctx):
     assert len(ctx.reports) == len(ctx.records) == 5486
     for r, rep in zip(ctx.records, ctx.reports):
         assert rep.span_rank == matrix_rank(class_vectors(r.mask, ctx.ls))
+
+
+def test_invariant_report_matches_two_pass_reference(ctx):
+    # the two separate passes the report replaces: complement with its Gram
+    # matrix, and the cokernel of the pairings against the unit vectors
+    units = [tuple(int(i == j) for j in range(RANK)) for i in range(RANK)]
+    for r, rep in zip(ctx.records, ctx.reports):
+        classes = class_vectors(r.mask, ctx.ls)
+        basis, gram = orthogonal_complement(classes, AMBIENT)
+        assert rep.perp_rank == len(basis)
+        assert rep.perp_parity == ("even" if is_even(gram) else "odd")
+        pairing = [[inner_product(e, c, AMBIENT) for e in units] for c in classes]
+        assert (rep.h1_torsion, rep.h1_free_rank) == cokernel_invariants(
+            pairing, target_rank=len(classes)
+        )
+
+
+def test_invariant_report_constant_under_a_random_element_at_every_n(ctx):
+    rng = random.Random(428)
+    seen = set()
+    for r, rep in zip(ctx.records, ctx.reports):
+        row = ctx.group.elements[rng.randrange(ctx.group.order)]
+        moved = invariant_report(apply_perm(r.mask, tuple(int(x) for x in row)), ctx.ls)
+        # every field but the lines themselves
+        assert dataclasses.replace(moved, lines=rep.lines) == rep, r.min_rep
+        seen.add(r.n)
+    assert seen == set(range(28))
 
 
 def test_invariants_constant_on_orbits():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -141,6 +142,44 @@ def test_smith_form_random_structure():
         check_smith_structure(a, rows, cols)
 
 
+def determinantal_divisors(a):
+    """Invariant factors as D_k / D_(k-1), D_k the gcd of all k x k minors."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                dk = math.gcd(dk, det([[a[i][j] for j in ci] for i in ri]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return tuple(out)
+
+
+def diagonal(*entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def test_smith_divisors_match_determinantal_divisors():
+    # a single fix-up sweep over the chain left (2, 3, 36) and (2, 15, 30)
+    for a, want in ((diagonal(4, 6, 9), (1, 6, 36)), (diagonal(6, 10, 15), (1, 30, 30))):
+        assert determinantal_divisors(a) == want
+        assert smith_normal_form(a).divisors() == want
+        check_smith_structure(a, 3, 3)
+    rng = random.Random(412)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = random_matrix(rng, rows, cols)
+        assert smith_normal_form(a).divisors() == determinantal_divisors(a)
+    # diagonal inputs are where the chain needs the most repair
+    for _ in range(200):
+        a = diagonal(*(rng.randint(0, 36) for _ in range(rng.randint(1, 4))))
+        assert smith_normal_form(a).divisors() == determinantal_divisors(a)
+        check_smith_structure(a, len(a), len(a))
+
+
 def test_elementary_divisors_and_rank():
     assert elementary_divisors([[4, 0], [0, 6]]) == (2, 12)
     assert matrix_rank([[1, 2], [2, 4]]) == 1
@@ -184,6 +223,31 @@ def test_hermite_form_pivots_positive_and_reduced():
             # reduction may fail only if the row is not in the span,
             # which cannot happen for rows of a itself
             assert all(x == 0 for x in r)
+
+
+def test_hermite_form_spans_the_same_lattice():
+    # rows of a lie in the span of h (test above); equal rank and equal gcd
+    # of maximal minors then leave index 1, so h spans exactly the rows of a
+    rng = random.Random(414)
+    for trial in range(300):
+        cols = rng.randint(1, 4)
+        rows = rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols, lo=-3, hi=3)
+        if trial % 3 == 0:
+            # unit pivots in every column first, arbitrary rows after them
+            a = [[int(i == j) or rng.randint(-2, 2) * (j > i) for j in range(cols)]
+                 for i in range(cols)] + a
+        h = hermite_normal_form(a)
+        dd_a, dd_h = determinantal_divisors(a), determinantal_divisors([list(r) for r in h])
+        assert len(dd_a) == len(dd_h) == len(h)
+        assert math.prod(dd_a) == math.prod(dd_h)
+    unimodular = [[1, 2, 0], [0, 1, 5], [0, 0, -1]]
+    assert hermite_normal_form(unimodular + [[7, 8, 9], [0, 0, 4]]) == (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    )
+    # gcd steps in column 0: 4 and 6 leave 2, and a 9 then leaves 1
+    assert hermite_normal_form([[4, 0], [6, 1], [0, 1]]) == ((2, 0), (0, 1))
+    assert hermite_normal_form([[4, 0], [6, 1], [9, 0]]) == ((1, 0), (0, 1))
 
 
 def test_hermite_form_idempotent():

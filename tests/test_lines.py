@@ -186,6 +186,26 @@ def test_tiny_closures():
     assert generate_group([gens[0]]).order == 2
 
 
+def test_closure_matches_tuple_closure_with_compose():
+    gens = standard_generators()[:3]
+    seen = {tuple(range(27))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in {compose(p, g) for p in frontier for g in gens} if q not in seen]
+        seen.update(frontier)
+    group = generate_group(gens)
+    assert [tuple(int(x) for x in row) for row in group.elements] == sorted(seen)
+
+
+def test_generate_group_rejects_non_permutations():
+    with pytest.raises(ValueError):
+        generate_group([(0, 0, 1)])
+    with pytest.raises(ValueError):
+        generate_group([(0, 1, 3)])
+    with pytest.raises(ValueError):
+        generate_group([tuple(range(257))])
+
+
 def test_group_order():
     group = weyl_group()
     assert group.order == 51840
