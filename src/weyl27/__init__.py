@@ -3,107 +3,22 @@
 The package builds the 27 line classes and the order-51840 reflection group
 permuting them, enumerates every orbit of line arrangements by lex-least
 representatives, compares combinatorial types, and computes the lattice
-invariants that separate arrangements sharing a type.
+invariants that separate arrangements sharing a type. The top level exports
+the library API; everything else lives in its module.
 """
 
-from .lattice import (
-    GramLattice,
-    SNFResult,
-    cokernel_invariants,
-    hermite_normal_form,
-    inner_product,
-    is_even,
-    kernel_basis,
-    orthogonal_complement,
-    smith_normal_form,
-)
-from .lines import (
-    AMBIENT,
-    ANTICANONICAL,
-    SIMPLE_ROOTS,
-    Isometry,
-    LineSystem,
-    PermutationGroup,
-    build_line_system,
-    cycle_notation,
-    generate_group,
-    isometry_to_permutation,
-    reflection,
-    standard_generators,
-    verify_dynkin,
-    weyl_group,
-)
-from .orbits import (
-    OrbitRecord,
-    apply_perm,
-    enumerate_all,
-    extend_minimal,
-    is_minimal,
-    lex_less,
-    lines_of_mask,
-    mask_from_lines,
-    minimal_representative,
-    orbit_size,
-)
-from .graphs import (
-    IntersectionGraph,
-    TypeFiber,
-    canonical_certificate,
-    classify_types,
-    find_zariski_pairs,
-    intersection_graph,
-)
-from .invariants import (
-    InvariantReport,
-    h1_complement,
-    invariant_report,
-    perp_parity,
-)
+from .graphs import find_zariski_pairs
+from .invariants import invariant_report
+from .lines import weyl_group
+from .orbits import enumerate_all, lines_of_mask, mask_from_lines
 
 __all__ = [
-    "AMBIENT",
-    "ANTICANONICAL",
-    "SIMPLE_ROOTS",
-    "GramLattice",
-    "SNFResult",
-    "Isometry",
-    "LineSystem",
-    "PermutationGroup",
-    "IntersectionGraph",
-    "TypeFiber",
-    "OrbitRecord",
-    "InvariantReport",
-    "apply_perm",
-    "build_line_system",
-    "canonical_certificate",
-    "classify_types",
-    "cokernel_invariants",
-    "cycle_notation",
-    "enumerate_all",
-    "extend_minimal",
-    "find_zariski_pairs",
-    "generate_group",
-    "h1_complement",
-    "hermite_normal_form",
-    "inner_product",
-    "intersection_graph",
-    "invariant_report",
-    "is_even",
-    "is_minimal",
-    "isometry_to_permutation",
-    "kernel_basis",
-    "lex_less",
-    "lines_of_mask",
-    "mask_from_lines",
-    "minimal_representative",
-    "orbit_size",
-    "orthogonal_complement",
-    "perp_parity",
-    "reflection",
-    "smith_normal_form",
-    "standard_generators",
-    "verify_dynkin",
     "weyl_group",
+    "enumerate_all",
+    "find_zariski_pairs",
+    "invariant_report",
+    "mask_from_lines",
+    "lines_of_mask",
 ]
 
 __version__ = "0.1.0"

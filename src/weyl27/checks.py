@@ -111,29 +111,49 @@ def run_all(
 ) -> list[CheckResult]:
     exp = exp or load_expectations()
     ctx = ctx or build_context(workers=workers)
+    fibers, sizes, invariants, corollary = pair_checks(ctx, exp)
     return [
         _check_group(ctx, exp),
         _check_lines(ctx),
         _check_table(ctx, exp),
         _check_partition(ctx, exp),
+        fibers,
+        sizes,
+        invariants,
+        _check_disjoint_five(ctx, exp),
+        _check_properties(ctx),
+        corollary,
+    ]
+
+
+def pair_checks(ctx: PipelineContext, exp: Expectations) -> list[CheckResult]:
+    """Checks 5, 6, 7 and 10, everything the pairs subcommand reports on:
+    the coincident type fibers, their orbit sizes and invariants, and type
+    plus invariants separating every orbit."""
+    return [
         _check_fibers(ctx, exp),
         _check_orbit_sizes(ctx, exp),
         _check_invariants(ctx, exp),
-        _check_disjoint_five(ctx, exp),
-        _check_properties(ctx),
         _check_corollary(ctx),
     ]
 
 
-def _check_group(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def group_problems(group: PermutationGroup, exp: Expectations) -> list[str]:
+    """Where the group's order and generator cycles differ from exp."""
     problems = []
-    if ctx.group.order != exp.group_order:
-        problems.append(f"order {ctx.group.order} != {exp.group_order}")
-    cycles = tuple(cycle_notation(g) for g in ctx.group.generators)
-    if cycles != exp.generator_cycles:
-        for i, (got, want) in enumerate(zip(cycles, exp.generator_cycles), start=1):
-            if got != want:
-                problems.append(f"generator {i}: {got} != {want}")
+    if group.order != exp.group_order:
+        problems.append(f"order {group.order} != {exp.group_order}")
+    cycles = tuple(cycle_notation(g) for g in group.generators)
+    if len(cycles) != len(exp.generator_cycles):
+        problems.append(f"{len(cycles)} generators, expected {len(exp.generator_cycles)}")
+    for i, (got, want) in enumerate(zip(cycles, exp.generator_cycles), start=1):
+        if got != want:
+            problems.append(f"generator {i}: {got} != {want}")
+    return problems
+
+
+def _check_group(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+    problems = group_problems(ctx.group, exp)
     if ctx.group_seconds >= GROUP_TIME_LIMIT:
         problems.append(f"closure took {ctx.group_seconds:.1f}s (limit {GROUP_TIME_LIMIT:.0f}s)")
     return CheckResult(

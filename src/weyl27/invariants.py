@@ -28,7 +28,13 @@ from .orbits import lines_of_mask
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Aggregated lattice data for one arrangement."""
+    """Aggregated lattice data for one arrangement.
+
+    perp_parity is "even" when every vector of the orthogonal complement of
+    the span has even self-pairing (a rank-0 complement counts as even) and
+    "odd" otherwise; h1_torsion lists the invariant factors > 1 of the first
+    homology in divisibility order.
+    """
 
     lines: tuple[int, ...]
     span_rank: int
@@ -63,22 +69,6 @@ def restriction_matrix(mask: int, ls: LineSystem | None = None) -> Matrix:
     """
     rows = (ls or build_line_system()).pairing_rows
     return tuple(rows[number - 1] for number in lines_of_mask(mask))
-
-
-def perp_parity(mask: int, ls: LineSystem | None = None) -> str:
-    """Parity of the orthogonal complement of the span of the line classes.
-
-    "even" when every vector of the complement has even self-pairing, "odd"
-    otherwise. The rank-0 complement counts as even; the empty arrangement
-    has the whole ambient lattice as complement and comes out odd.
-    """
-    return invariant_report(mask, ls).perp_parity
-
-
-def h1_complement(mask: int, ls: LineSystem | None = None) -> tuple[tuple[int, ...], int]:
-    """Torsion (invariant factors > 1, in divisibility order) and free rank."""
-    report = invariant_report(mask, ls)
-    return report.h1_torsion, report.h1_free_rank
 
 
 def invariant_report(mask: int, ls: LineSystem | None = None) -> InvariantReport:

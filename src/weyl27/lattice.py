@@ -197,10 +197,6 @@ def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
     return SNFResult(d=_freeze(work), u=_freeze(u), v=_freeze(v))
 
 
-def elementary_divisors(a: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    return smith_normal_form(a).divisors()
-
-
 def matrix_rank(a: Iterable[Sequence[int]]) -> int:
     return smith_normal_form(a).rank()
 
@@ -325,7 +321,7 @@ def cokernel_invariants(
     Z^target_rank / image. Torsion comes from the elementary divisors, the
     free rank is target_rank - rank(a).
     """
-    divisors = elementary_divisors(a)
+    divisors = smith_normal_form(a).divisors()
     if target_rank < len(divisors):
         raise ValueError("target_rank smaller than matrix rank")
     torsion = tuple(d for d in divisors if d > 1)

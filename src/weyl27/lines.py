@@ -247,7 +247,6 @@ class PermutationGroup:
         self.generators = tuple(generators)
         self.elements = elements  # shape (order, degree), lex-sorted rows
         self.order = int(elements.shape[0])
-        self._byte_index: frozenset[bytes] | None = None
 
     @cached_property
     def rev_table(self) -> np.ndarray:
@@ -276,11 +275,6 @@ class PermutationGroup:
             raise ValueError("rev table blocks need a transitive group")
         images = self.elements[np.argsort(to_zero, kind="stable")].T.copy()
         return np.left_shift(1, self.degree - 1 - images, dtype=np.int32).T
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        if self._byte_index is None:
-            self._byte_index = frozenset(row.tobytes() for row in self.elements)
-        return bytes(bytearray(int(x) for x in p)) in self._byte_index
 
 
 def generate_group(generators: Sequence[Perm]) -> PermutationGroup:

@@ -1,17 +1,22 @@
 """Command-line interface: formats, routing, exit codes."""
 
 import json
+import multiprocessing
 import os
 import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 import weyl27.cli as cli
-from weyl27.checks import run_all
+import weyl27.orbits as orbits
+from weyl27.checks import group_problems, pair_checks, run_all
 from weyl27.cli import RunConfig, main
+from weyl27.expectations import load_expectations
+from weyl27.lines import weyl_group
 
 EXPECTED_CYCLES = [
     "(4,21)(5,20)(6,19)(7,24)(8,23)(12,22)",
@@ -29,17 +34,35 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def wrong_expectations(tmp_path, monkeypatch):
+    """Shipped expectations with the group order, one orbit size and one
+    torsion changed and a seventh generator added, selected through
+    WEYL27_EXPECTATIONS."""
+    raw = json.loads(
+        (Path(cli.__file__).parent / "data" / "expectations.json").read_text(encoding="utf-8")
+    )
+    raw["group_order"] += 1
+    raw["generator_cycles"].append("(1,27)")
+    raw["zariski_pairs"][0]["orbit_sizes"][1] += 1
+    raw["zariski_pairs"][1]["h1_torsion"][0] = [3]
+    path = tmp_path / "expectations.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("WEYL27_EXPECTATIONS", str(path))
+    return load_expectations()
+
+
 # ------------------------------------------------------------------- config
 
 
 def test_run_config_validation():
-    RunConfig(command="group", output_path=None, format="text", workers=1)
+    RunConfig(output_path=None, format="text", workers=1)
     with pytest.raises(ValueError):
-        RunConfig(command="group", output_path=None, format="text", workers=0)
+        RunConfig(output_path=None, format="text", workers=0)
     with pytest.raises(ValueError):
-        RunConfig(
-            command="enumerate", output_path=None, format="text", workers=1, n_filter=28
-        )
+        RunConfig(output_path=None, format="text", workers=1, n_filter=28)
+    with pytest.raises(ValueError):
+        RunConfig(output_path=None, format="text", workers=1, lines=(3, 3))
 
 
 def test_bad_flag_values_exit_2(capsys):
@@ -80,8 +103,11 @@ def test_group_csv_output(capsys):
     assert lines[-1] == "match,PASS"
 
 
-def test_group_corrupt_root_fails(capsys):
-    code, out, _ = run(["group", "--corrupt-root", "--workers", "1"], capsys)
+def test_group_corrupt_root_fails(monkeypatch, capsys):
+    roots = list(cli.SIMPLE_ROOTS)
+    roots[1], roots[2] = roots[2], roots[1]
+    monkeypatch.setattr(cli, "SIMPLE_ROOTS", tuple(roots))
+    code, out, _ = run(["group", "--workers", "1"], capsys)
     assert code == 1
     assert "dynkin: FAIL" in out
     assert "match: FAIL" in out
@@ -176,6 +202,17 @@ def test_output_in_a_directory_without_room_for_a_temp_file(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
 
 
+def test_group_fails_against_other_expectations(wrong_expectations, capsys):
+    code, out, _ = run(["group", "--workers", "1"], capsys)
+    assert code == 1
+    assert "order: 51840" in out
+    assert out.splitlines()[-1] == "match: FAIL"
+    assert group_problems(weyl_group(), wrong_expectations) == [
+        "order 51840 != 51841",
+        "6 generators, expected 7",
+    ]
+
+
 # ---------------------------------------------------------------- enumerate
 
 
@@ -222,6 +259,22 @@ def test_enumerate_text_with_output_writes_records(tmp_path, capsys):
     assert code == 0
     assert target.read_text() == '{"n":1,"min_rep":[1],"orbit_size":27}\n'
     assert "total 2" in out  # table still lands on stdout
+
+
+def _worker_dies(chunk):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+)
+def test_worker_crash_fails_loudly(monkeypatch, capsys):
+    monkeypatch.setattr(orbits, "_pool_extend", _worker_dies)
+    code, out, err = run(["enumerate", "--n", "6", "--workers", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "terminated abruptly" in err
 
 
 # --------------------------------------------------------------- invariants
@@ -326,6 +379,22 @@ def test_pairs_csv(ctx, monkeypatch, capsys):
     assert lines[1] == "1,1 2 3 4 5,432,odd,,0"
     assert lines[4] == "2,1 2 3 4 21 26,432,even,,0"
     assert len(lines) == 5
+
+
+def test_pairs_fails_against_other_expectations(ctx, wrong_expectations, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_context", lambda workers: ctx)
+    code, out, _ = run(["pairs", "--workers", "1"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "match: FAIL" in lines
+    diffs = [ln[len("  diff: "):] for ln in lines if ln.startswith("  diff: ")]
+    failing = [r for r in pair_checks(ctx, wrong_expectations) if not r.passed]
+    assert [r.number for r in failing] == [6, 7]
+    assert diffs == [r.detail for r in failing]
+    assert diffs == [
+        "orbit of [1, 2, 3, 4, 21] has size 216 != 217",
+        "h1 torsion of [1, 2, 3, 4, 5, 27] is [2], expected [3]",
+    ]
 
 
 def test_classify_text(ctx, monkeypatch, capsys):

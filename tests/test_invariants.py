@@ -5,9 +5,7 @@ import random
 
 from weyl27.invariants import (
     class_vectors,
-    h1_complement,
     invariant_report,
-    perp_parity,
     restriction_matrix,
 )
 from weyl27.lattice import (
@@ -49,12 +47,12 @@ def test_five_skew_lines_parities():
     basis, gram = orthogonal_complement(class_vectors(S1), AMBIENT)
     assert basis == ((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1))
     assert gram == ((1, 0), (0, -1))
-    assert perp_parity(S1) == "odd"
+    assert invariant_report(S1).perp_parity == "odd"
     # the other five-skew orbit has an even complement of the same rank
     basis2, gram2 = orthogonal_complement(class_vectors(S2), AMBIENT)
     assert len(basis2) == 2
     assert all(gram2[i][i] % 2 == 0 for i in range(2))
-    assert perp_parity(S2) == "even"
+    assert invariant_report(S2).perp_parity == "even"
 
 
 def test_six_line_star_parities():
@@ -63,16 +61,17 @@ def test_six_line_star_parities():
     basis, gram = orthogonal_complement(class_vectors(T1), AMBIENT)
     assert basis == ((0, 0, 0, 0, 0, 0, 1),)
     assert gram == ((-1,),)
-    assert perp_parity(T1) == "odd"
+    assert invariant_report(T1).perp_parity == "odd"
     basis, gram = orthogonal_complement(class_vectors(T2), AMBIENT)
     assert basis == ((1, 0, 0, 0, 0, 1, -2),)
     assert gram == ((-4,),)
-    assert perp_parity(T2) == "even"
+    assert invariant_report(T2).perp_parity == "even"
 
 
 def test_six_line_star_h1():
-    assert h1_complement(T1) == ((2,), 0)
-    assert h1_complement(T2) == ((), 0)
+    for mask, h1 in ((T1, ((2,), 0)), (T2, ((), 0))):
+        report = invariant_report(mask)
+        assert (report.h1_torsion, report.h1_free_rank) == h1
 
 
 def test_boundary_arrangements():
