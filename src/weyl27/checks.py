@@ -16,11 +16,12 @@ from itertools import permutations, product
 from math import gcd
 from typing import Sequence
 
+import numpy as np
+
 from . import lattice
 from .expectations import Expectations, load_expectations
 from .graphs import (
     IntersectionGraph,
-    _packed_hex,
     canonical_certificate,
     find_zariski_pairs,
     intersection_graph,
@@ -416,24 +417,45 @@ def _is_even_suite(trials: int = 100) -> str | None:
     return None
 
 
-def _brute_certificate(g: IntersectionGraph) -> str:
-    return min(_packed_hex(g.adj, perm) for perm in permutations(range(g.n)))
+def _brute_keys(n: int) -> np.ndarray:
+    """Isomorphism class key of every graph on n vertices, by brute force.
+
+    Graph g has edge p when bit p of g is set, p indexing the pairs (i, j),
+    i < j, in row order. Its key is the least, over all n! vertex orders,
+    of the integer whose bits, most significant first, are the upper
+    triangle of the reordered adjacency matrix read column by column.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
+    index = {pair: p for p, pair in enumerate(pairs)}
+    # reading[o, t]: the pair whose edge is bit t of the string under order o
+    rows = [
+        [index[min(o[i], o[k]), max(o[i], o[k])] for k in range(n) for i in range(k)]
+        for o in permutations(range(n))
+    ]
+    reading = np.array(rows, dtype=np.intp).reshape(len(rows), m)
+    edges = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.min_scalar_type((1 << m) - 1))
+    keys = edges[:, reading[0]] @ weights
+    for order in reading[1:]:
+        np.minimum(keys, edges[:, order] @ weights, out=keys)
+    return keys
 
 
 def _certificate_suite(max_vertices: int = 5) -> str | None:
     for n in range(max_vertices + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        brute_to_cert: dict[str, str] = {}
-        cert_to_brute: dict[str, str] = {}
+        keys = _brute_keys(n).tolist()
+        brute_to_cert: dict[int, str] = {}
+        cert_to_brute: dict[str, int] = {}
         for edges_bits in range(1 << len(pairs)):
             adj = [0] * n
             for p, (i, j) in enumerate(pairs):
                 if (edges_bits >> p) & 1:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-            g = IntersectionGraph(n=n, adj=tuple(adj))
-            cert = canonical_certificate(g)
-            brute = _brute_certificate(g)
+            cert = canonical_certificate(IntersectionGraph(n=n, adj=tuple(adj)))
+            brute = keys[edges_bits]
             if brute_to_cert.setdefault(brute, cert) != cert:
                 return f"one isomorphism class got two certificates (n={n})"
             if cert_to_brute.setdefault(cert, brute) != brute:

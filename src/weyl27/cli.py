@@ -22,7 +22,6 @@ import json
 import os
 import stat
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .checks import build_context, group_problems, pair_checks, run_all
@@ -40,7 +39,7 @@ from .lines import (
     verify_dynkin,
     weyl_group,
 )
-from .orbits import enumerate_all, mask_from_lines
+from .orbits import WorkerError, enumerate_all, mask_from_lines
 
 FORMATS = ("json", "csv", "text")
 
@@ -332,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.run(cfg)
-    except (OSError, BrokenProcessPool) as exc:
+    except (OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

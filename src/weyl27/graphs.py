@@ -9,22 +9,28 @@ types compare by string equality.
 The certificate comes from a small individualization-refinement search:
 refine an ordered partition to equitability, branch on the first
 non-singleton cell, and keep the lexicographically smallest adjacency
-bitstring over the discrete partitions reached. Partial prefixes are pruned
-against the current best, and discovered automorphisms prune sibling
-branches. Graphs here have at most 27 vertices, which this handles in
-milliseconds for typical cells and comfortably even for the full 27-line
-graph with its 51840 automorphisms.
+bitstring over the discrete partitions reached. The certificate is the
+minimum over all leaves of that search tree, so the search may skip any
+leaf it can prove no smaller. It skips the subtrees that an automorphism
+already found maps onto explored ones: siblings in one orbit of the
+automorphisms fixing the current prefix, and, when a leaf matches the best
+one, everything up to the node where the two paths part. Cells and
+splitters are vertex bitmasks, so refining by one vertex is a mask test per
+cell, and refinement stops queueing the last part of every split, which
+never splits anything. Graphs here have at most 27 vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
+from operator import lshift, ne
 from typing import Iterable, Sequence
 
 from . import invariants as _invariants
-from .lines import LineSystem, build_line_system
-from .orbits import OrbitRecord, lines_of_mask
+from .lines import LINE_COUNT, LineSystem, build_line_system
+from .orbits import OrbitRecord
 
 
 @dataclass(frozen=True)
@@ -35,17 +41,50 @@ class IntersectionGraph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.adj) != self.n:
+        n, adj = self.n, self.adj
+        if len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
-                raise ValueError("adjacency bits out of range")
-            if (row >> v) & 1:
-                raise ValueError("no loops allowed")
-        for v in range(self.n):
-            for u in range(v):
-                if ((self.adj[v] >> u) & 1) != ((self.adj[u] >> v) & 1):
-                    raise ValueError("adjacency must be symmetric")
+        if not adj:
+            return
+        if min(adj) < 0 or max(adj) >> n:
+            raise ValueError("adjacency bits out of range")
+        # Row v at bits [w*v, w*v + n) of one integer, as a w x w bit matrix.
+        w, diagonal, swaps = _matrix_layout(n)
+        matrix = sum(map(lshift, adj, range(0, w * n, w)))
+        if matrix & diagonal:
+            raise ValueError("no loops allowed")
+        transposed = matrix
+        for shift, mask in swaps:
+            t = ((transposed >> shift) ^ transposed) & mask
+            transposed ^= t | (t << shift)
+        if transposed != matrix:
+            raise ValueError("adjacency must be symmetric")
+
+
+@cache
+def _matrix_layout(n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """Row stride w (a power of two >= n), the diagonal mask of n rows, and
+    the block swaps that transpose a w x w bit matrix.
+
+    Swap s exchanges, within every 2s x 2s block, the s x s block right of
+    the diagonal with the one below it: bit (r, c) with r & s == 0 and
+    c & s != 0 trades places with bit (r + s, c - s), s * (w - 1) higher.
+    Doing it for s = w/2, ..., 1 transposes the whole matrix.
+    """
+    w = 1 << (n - 1).bit_length()
+    diagonal = sum(1 << (w + 1) * v for v in range(n))
+    swaps = []
+    s = w >> 1
+    while s:
+        mask = 0
+        for r in range(w):
+            if not r & s:
+                for c in range(w):
+                    if c & s:
+                        mask |= 1 << (r * w + c)
+        swaps.append((s * (w - 1), mask))
+        s >>= 1
+    return w, diagonal, tuple(swaps)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> IntersectionGraph:
@@ -62,17 +101,15 @@ def intersection_graph(mask: int, ls: LineSystem | None = None) -> IntersectionG
     """Graph on the lines of the arrangement, edge iff the lines meet.
 
     Vertex k is the k-th line of the arrangement in increasing number order.
+    Row k is that line's neighbour mask cut to the arrangement, with each
+    line's bit moved to the line's vertex number.
     """
     ls = ls or build_line_system()
-    lines = lines_of_mask(mask)
-    n = len(lines)
-    adj = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if ls.meet(lines[a], lines[b]) == 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return IntersectionGraph(n=n, adj=tuple(adj))
+    lines = _bits(mask)
+    rank = dict(zip(lines, _POWERS)).__getitem__
+    neighbours = ls.neighbour_masks
+    adj = tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
+    return IntersectionGraph(n=len(lines), adj=adj)
 
 
 def relabel(g: IntersectionGraph, perm: Sequence[int]) -> IntersectionGraph:
@@ -89,165 +126,252 @@ def relabel(g: IntersectionGraph, perm: Sequence[int]) -> IntersectionGraph:
     return IntersectionGraph(n=g.n, adj=tuple(adj))
 
 
-def _mask_of(cell: Iterable[int]) -> int:
-    mask = 0
-    for v in cell:
-        mask |= 1 << v
-    return mask
+_POWERS = tuple(1 << k for k in range(LINE_COUNT))
+# _BYTE_BITS[k][b] lists the bits 8k + i of the set bits i of byte b.
+_BYTE_BITS = tuple(
+    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(4)
+)
 
 
-def _refine(adj: Sequence[int], cells: list[list[int]], seeds: Iterable[int]) -> list[list[int]]:
-    """Coarsest equitable refinement of an ordered partition.
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a nonnegative mask, in increasing order."""
+    t0, t1, t2, t3 = _BYTE_BITS
+    if mask >> 32:
+        return _bits(mask & 0xFFFFFFFF) + tuple(32 + i for i in _bits(mask >> 32))
+    return t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24]
 
-    Splits cells by neighbor counts against splitter masks, subcells ordered
-    by count; a final sweep re-queues any splitter that still separates, so
-    the result is equitable no matter which seeds started the queue. Only
-    counts and cell positions drive the process, which keeps it equivariant
-    under relabeling.
+
+def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
+    """Coarsest equitable refinement of an ordered partition, in place.
+
+    cells is a list of vertex masks. Each splitter mask splits every cell
+    by the number of neighbours its vertices have in the splitter, into
+    parts ordered by that count; the parts are queued as splitters in cell
+    order. Only counts and cell positions drive the process, which keeps it
+    equivariant under relabeling.
+
+    The input is either the one cell of all vertices with that cell as the
+    splitter, or an equitable partition whose cell T was split into {v}
+    (the splitter) and the rest R. Every cell of the result is then a
+    splitter already applied or a cell whose counts follow from applied
+    ones: an untouched cell of the input, and R (counts into T minus counts
+    into {v}), by equitability of the input; a part of a split, queued and
+    applied. So the result is equitable without a final sweep over all
+    cells. For the same reason the last part of a split is not queued: by
+    its turn, the split cell (an input cell, or an earlier part, applied
+    before its own parts) and the other parts have been applied, so its
+    counts are their difference and it would split nothing. Refinement
+    also stops once every cell is a single vertex. Neither shortcut changes
+    the partitions produced.
+
+    A splitter of one vertex w splits cell c into c minus N(w), then
+    c & N(w). A larger splitter first adds up the neighbour masks of its
+    vertices as bit-sliced counters, so plane j holds the vertices whose
+    count has bit j set; a cell splits when some plane cuts it, into the
+    level sets of the count in increasing order.
     """
-    pending = deque(seeds)
+    n = len(adj)
+    pending: list[int] = []
+    applied = 0  # pending[:applied] have been applied
     while True:
-        while pending:
-            s = pending.popleft()
-            out: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                buckets: dict[int, list[int]] = {}
-                for v in cell:
-                    buckets.setdefault((adj[v] & s).bit_count(), []).append(v)
-                if len(buckets) == 1:
-                    out.append(cell)
-                else:
-                    for key in sorted(buckets):
-                        part = buckets[key]
-                        out.append(part)
-                        pending.append(_mask_of(part))
-            cells = out
-        for splitter in cells:
-            s = _mask_of(splitter)
-            for cell in cells:
-                if len(cell) > 1:
-                    c0 = (adj[cell[0]] & s).bit_count()
-                    if any((adj[v] & s).bit_count() != c0 for v in cell[1:]):
-                        pending.append(s)
+        splits = []
+        if splitter & (splitter - 1):
+            members = _bits(splitter)
+            planes = [adj[members[0]]]
+            for w in members[1:]:
+                carry = adj[w]
+                j = 0
+                for plane in planes:
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                    if not carry:
                         break
-            if pending:
-                break
-        if not pending:
+                    j += 1
+                else:
+                    planes.append(carry)
+            i = -1
+            for c in cells:
+                i += 1
+                if c & (c - 1):
+                    for plane in planes:
+                        x = c & plane
+                        if x and x != c:
+                            break
+                    else:
+                        continue
+                    parts = [c]
+                    for plane in reversed(planes):
+                        finer = []
+                        for part in parts:
+                            high = part & plane
+                            if high != part:
+                                finer.append(part ^ high)
+                            if high:
+                                finer.append(high)
+                        parts = finer
+                    splits.append((i, parts))
+        else:
+            row = adj[splitter.bit_length() - 1]
+            i = -1
+            for c in cells:
+                i += 1
+                if c & (c - 1):
+                    x = c & row
+                    if x and x != c:
+                        splits.append((i, (c ^ x, x)))
+        if splits:
+            for i, parts in reversed(splits):
+                cells[i : i + 1] = parts
+            if len(cells) == n:
+                return cells
+            for _, parts in splits:
+                pending.extend(parts[:-1])
+        if applied == len(pending):
             return cells
-
-
-def _is_automorphism(adj: Sequence[int], perm: Sequence[int]) -> bool:
-    for v, row in enumerate(adj):
-        image = 0
-        m = row
-        while m:
-            low = m & -m
-            m ^= low
-            image |= 1 << perm[low.bit_length() - 1]
-        if image != adj[perm[v]]:
-            return False
-    return True
+        splitter = pending[applied]
+        applied += 1
 
 
 def canonical_order(g: IntersectionGraph) -> tuple[int, ...]:
     """Vertex order realizing the lexicographically smallest adjacency string."""
-    n, adj = g.n, g.adj
+    return tuple(c.bit_length() - 1 for c in _canonical_leaf(g.adj))
+
+
+def _canonical_leaf(adj: Sequence[int]) -> list[int]:
+    """A discrete partition (singleton masks in order) whose adjacency
+    string is the least over the search tree.
+
+    A leaf whose string equals the best one differs from it by the
+    automorphism that maps the best leaf's vertex at each position to this
+    leaf's. That is checked on the moved vertices only, and the search then
+    returns to the node where the two leaves' paths part: the automorphism
+    fixes that node's prefix and maps the explored subtree holding the best
+    leaf onto the current one. Every automorphism found fixes the prefix of
+    each node still open, so a node filters its parent's list once, by the
+    vertices it fixes, and adds the automorphisms found below it.
+    """
+    n = len(adj)
     if n == 0:
-        return ()
+        return []
+    path: list[int] = []  # vertices individualized on the way down
+    best_cells: list[int] = []
+    best_string: int | None = None  # computed when first needed
+    best_path: list[int] = []
+    autos: list[tuple[list[int], int]] = []  # (permutation, moved mask)
 
-    best_chunks: list[int] | None = None
-    best_order: list[int] = []
-    autos: list[tuple[int, ...]] = []
+    def leaf(cells: list[int]) -> int:
+        nonlocal best_cells, best_string, best_path
+        if not best_cells:
+            best_cells, best_path = cells, path[:]
+            return len(path)
+        diff = list(compress(range(n), map(ne, cells, best_cells)))
+        moved = 0
+        image = {}
+        for k in diff:
+            moved |= best_cells[k]
+            image[best_cells[k]] = cells[k]
+        for k in diff:
+            row = adj[best_cells[k].bit_length() - 1]
+            target = adj[cells[k].bit_length() - 1]
+            if (row ^ target) & ~moved:
+                break
+            m = row & moved
+            mapped = 0
+            while m:
+                low = m & -m
+                mapped |= image[low]
+                m ^= low
+            if mapped != target & moved:
+                break
+        else:
+            perm = list(range(n))
+            for k in diff:
+                perm[best_cells[k].bit_length() - 1] = cells[k].bit_length() - 1
+            autos.append((perm, moved))
+            j = 0
+            while path[j] == best_path[j]:
+                j += 1
+            return j
+        if best_string is None:
+            best_string = _adjacency_string(adj, best_cells)
+        string = _adjacency_string(adj, cells)
+        if string < best_string:
+            best_cells, best_string, best_path = cells, string, path[:]
+        return len(path)
 
-    def chunk_of(prefix: list[int], v: int) -> int:
-        c = 0
-        for u in prefix:
-            c = (c << 1) | ((adj[v] >> u) & 1)
-        return c
-
-    def cmp_prefix(chunks: list[int]) -> int:
-        if best_chunks is None:
-            return -1
-        for a, b in zip(chunks, best_chunks):
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    def same_orbit(v: int, explored: list[int], prefix: list[int]) -> bool:
-        gens = [a for a in autos if all(a[x] == x for x in prefix)]
-        if not gens:
-            return False
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for a in gens:
-                y = a[x]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return any(u in seen for u in explored)
-
-    def search(cells: list[list[int]], order: list[int], chunks: list[int]) -> None:
-        nonlocal best_chunks, best_order
-        k = len(order)
-        while k < len(cells) and len(cells[k]) == 1:
-            v = cells[k][0]
-            chunks = chunks + [chunk_of(order, v)]
-            order = order + [v]
+    def search(cells: list[int], k: int, gens: list) -> int:
+        """Explore below an equitable partition whose first k cells are
+        singletons; return the depth the search should resume at."""
+        if len(cells) == n:
+            return leaf(cells)
+        fixed = 0
+        while not cells[k] & (cells[k] - 1):
+            fixed |= cells[k]
             k += 1
-        c = cmp_prefix(chunks)
-        if c > 0:
-            return
-        if k == len(cells):
-            if c < 0:
-                best_chunks = list(chunks)
-                best_order = list(order)
-            elif order != best_order:
-                perm = [0] * n
-                for pos in range(n):
-                    perm[best_order[pos]] = order[pos]
-                if not _is_automorphism(adj, perm):
-                    raise AssertionError("equal leaf strings must give an automorphism")
-                autos.append(tuple(perm))
-            return
+        if fixed and gens:
+            gens = [(p, moved) for p, moved in gens if not moved & fixed]
+        depth = len(path)
+        found = len(autos)
         target = cells[k]
-        explored: list[int] = []
-        for v in target:
-            if cmp_prefix(chunks) > 0:
-                return  # best improved under a sibling; this prefix is now dead
-            if same_orbit(v, explored, order):
+        head, tail = cells[:k], cells[k + 1 :]
+        explored = 0  # closed under gens
+        for v in _bits(target):
+            if explored >> v & 1:
                 continue
-            rest = [x for x in target if x != v]
-            child = cells[:k] + [[v], rest] + cells[k + 1 :]
-            search(_refine(adj, child, [1 << v]), order, chunks)
-            explored.append(v)
+            b = 1 << v
+            path.append(v)
+            back = search(_refine(adj, head + [b, target ^ b] + tail, b), k, gens)
+            path.pop()
+            if len(autos) > found:
+                gens = gens + autos[found:]
+                found = len(autos)
+            if back < depth:
+                return back
+            explored |= b
+            if gens:
+                stack = list(_bits(explored))
+                while stack:
+                    x = stack.pop()
+                    for perm, _ in gens:
+                        y = perm[x]
+                        if not explored >> y & 1:
+                            explored |= 1 << y
+                            stack.append(y)
+        return depth
 
-    initial = _refine(adj, [list(range(n))], [(1 << n) - 1])
-    search(initial, [], [])
-    return tuple(best_order)
+    full = (1 << n) - 1
+    search(_refine(adj, [full], full), 0, [])
+    return best_cells
 
 
-def _packed_hex(adj: Sequence[int], order: Sequence[int]) -> str:
-    """Upper-triangular adjacency bits in column-major order, packed MSB-first."""
-    n = len(order)
-    buf = bytearray((n * (n - 1) // 2 + 7) // 8)
-    pos = 0
-    for k in range(1, n):
-        vk = order[k]
-        for i in range(k):
-            if (adj[order[i]] >> vk) & 1:
-                buf[pos >> 3] |= 0x80 >> (pos & 7)
-            pos += 1
-    return buf.hex()
+def _adjacency_string(adj: Sequence[int], cells: Sequence[int]) -> int:
+    """Upper-triangular adjacency bits under the order of a discrete
+    partition, column-major, as one integer (first bit most significant).
+
+    Column k holds the k bits between the k-th vertex and those before it.
+    """
+    n = len(cells)
+    order = [c.bit_length() - 1 for c in cells]
+    position = sorted(range(n), key=order.__getitem__)
+    weight = [1 << (n - 1 - k) for k in position].__getitem__
+    string = 0
+    for k, v in enumerate(order):
+        string = string << k | sum(map(weight, _bits(adj[v]))) >> (n - k)
+    return string
 
 
 def canonical_certificate(g: IntersectionGraph) -> str:
-    """Certificate string "<n>:<hex>"; equal certificates iff isomorphic graphs."""
-    return f"{g.n}:{_packed_hex(g.adj, canonical_order(g))}"
+    """Certificate string "<n>:<hex>"; equal certificates iff isomorphic graphs.
+
+    The hex packs the canonical adjacency string MSB-first, zero-padded to
+    whole bytes.
+    """
+    n = g.n
+    bits = n * (n - 1) // 2
+    size = (bits + 7) // 8
+    string = _adjacency_string(g.adj, _canonical_leaf(g.adj))
+    return f"{n}:{(string << (8 * size - bits)).to_bytes(size, 'big').hex()}"
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,14 @@ class LineSystem:
             for cls in self.classes
         )
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Mask i has bit j set exactly when lines i+1 and j+1 meet (j != i)."""
+        return tuple(
+            sum(1 << j for j, x in enumerate(row) if x == 1 and j != i)
+            for i, row in enumerate(self.inter)
+        )
+
     def line_class(self, number: int) -> Vector:
         """Class of the line with the given 1-based number."""
         if not 1 <= number <= LINE_COUNT:

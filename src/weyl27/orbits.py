@@ -195,6 +195,10 @@ def _extend_batch(
     return out
 
 
+class WorkerError(RuntimeError):
+    """A pool task raised, or a pool worker died; the message names why."""
+
+
 # Shared state for forked enumeration workers, set before the pool spawns.
 _POOL_GROUP: PermutationGroup | None = None
 
@@ -253,7 +257,8 @@ def enumerate_all(
     One pass builds each level of minimal representatives, with their orbit
     lengths, from the level below, up to max_n lines. Workers > 1 forks one
     process pool and splits each level across it; the output is identical
-    for any worker count.
+    for any worker count. An exception in a pool task, or a worker that
+    dies, raises WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
@@ -267,9 +272,12 @@ def enumerate_all(
             if pool is None or len(parents) < 2 * workers:
                 children = _extend_batch(parents, tbl, group.degree)
             else:
-                children = []
-                for part in pool.map(_pool_extend, _chunks(parents, workers)):
-                    children.extend(part)
+                try:
+                    parts = list(pool.map(_pool_extend, _chunks(parents, workers)))
+                except Exception as exc:  # a task raised, or a worker died
+                    detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+                    raise WorkerError(f"a pool worker failed: {detail}") from exc
+                children = [child for part in parts for child in part]
             if not children:
                 break
             records.extend(OrbitRecord(mask=m, orbit_size=s) for m, s in children)

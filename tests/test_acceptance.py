@@ -5,6 +5,7 @@ Run with -s to see the printed status lines alongside the assertions.
 
 import pytest
 
+from weyl27 import checks
 from weyl27.checks import run_all
 
 CRITERIA = [
@@ -35,3 +36,15 @@ def test_criterion(results, number, name):
     result = results[number - 1]
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_property_suite_fails_a_non_canonical_certificate(ctx, monkeypatch):
+    # packing the graph in its own vertex order labels one class many ways;
+    # check 9's brute force must catch it
+    def identity_packing(g):
+        return f"{g.n}:{','.join(map(str, g.adj))}"
+
+    monkeypatch.setattr(checks, "canonical_certificate", identity_packing)
+    result = checks._check_properties(ctx)
+    assert not result.passed
+    assert "one isomorphism class got two certificates (n=3)" in result.detail

@@ -277,6 +277,23 @@ def test_worker_crash_fails_loudly(monkeypatch, capsys):
     assert "terminated abruptly" in err
 
 
+def _task_raises(chunk):
+    raise MemoryError
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+)
+def test_worker_exception_fails_loudly(monkeypatch, capfd):
+    # capfd, not capsys: it also sees what the forked workers write
+    monkeypatch.setattr(orbits, "_pool_extend", _task_raises)
+    code = main(["enumerate", "--n", "6", "--workers", "2"])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: a pool worker failed: MemoryError\n"  # one line, no traceback
+
+
 # --------------------------------------------------------------- invariants
 
 

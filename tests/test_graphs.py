@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from weyl27 import graphs
 from weyl27.graphs import (
     IntersectionGraph,
-    _packed_hex,
     canonical_certificate,
     canonical_order,
     classify_types,
@@ -17,16 +17,25 @@ from weyl27.graphs import (
     relabel,
 )
 from weyl27.lines import build_line_system, weyl_group
-from weyl27.orbits import enumerate_all, mask_from_lines
+from weyl27.orbits import apply_perm, enumerate_all, mask_from_lines
+
+
+def packed_hex(adj, order):
+    """Upper-triangular adjacency bits in column-major order, packed MSB-first."""
+    n = len(order)
+    buf = bytearray((n * (n - 1) // 2 + 7) // 8)
+    pos = 0
+    for k in range(1, n):
+        for i in range(k):
+            if (adj[order[i]] >> order[k]) & 1:
+                buf[pos >> 3] |= 0x80 >> (pos & 7)
+            pos += 1
+    return buf.hex()
 
 
 def brute_certificate(g):
     """Minimum packed form over every vertex ordering."""
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        h = _packed_hex(g.adj, perm)
-        if best is None or h < best:
-            best = h
+    best = min(packed_hex(g.adj, perm) for perm in itertools.permutations(range(g.n)))
     return f"{g.n}:{best}"
 
 
@@ -49,6 +58,52 @@ def test_graph_validation():
         graph_from_edges(2, [(0, 2)])  # vertex out of range
     with pytest.raises(ValueError):
         IntersectionGraph(2, (0b10, 0b00))  # not symmetric
+    with pytest.raises(ValueError):
+        IntersectionGraph(2, (0b110, 0b001))  # bit 2 is no vertex
+    with pytest.raises(ValueError):
+        IntersectionGraph(2, (0b01, 0b00))  # loop
+    with pytest.raises(ValueError):
+        IntersectionGraph(2, (-2, 0b01))
+
+
+def test_graph_validation_matches_pairwise_definition():
+    # the bit-matrix transpose against the definition, on random matrices
+    rng = random.Random(421)
+    for n in [*range(0, 12), 27, 33, 40]:
+        for _ in range(30):
+            adj = [rng.getrandbits(n + 1) if rng.random() < 0.1 else 0 for _ in range(n)]
+            for a in range(n):
+                for b in range(a):
+                    if rng.random() < 0.4:
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+            if n and rng.random() < 0.5:
+                a, b = rng.randrange(n), rng.randrange(n)
+                adj[a] ^= 1 << b  # may break symmetry or add a loop
+            valid = all(
+                0 <= row < 1 << n
+                and not row >> v & 1
+                and all((row >> u & 1) == (adj[u] >> v & 1) for u in range(n))
+                for v, row in enumerate(adj)
+            )
+            try:
+                IntersectionGraph(n, tuple(adj))
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == valid, (n, adj)
+
+
+def test_intersection_graph_matches_meet(ctx):
+    rng = random.Random(425)
+    for rec in [*ctx.records[:40], *rng.sample(ctx.records, 200), ctx.records[-1]]:
+        lines = rec.min_rep
+        g = intersection_graph(rec.mask, ctx.ls)
+        assert g.n == len(lines)
+        for a in range(g.n):
+            for b in range(g.n):
+                meets = a != b and ctx.ls.meet(lines[a], lines[b]) == 1
+                assert (g.adj[a] >> b & 1) == meets
 
 
 def test_intersection_graph_vertices_follow_line_order():
@@ -212,3 +267,63 @@ def test_members_of_one_orbit_share_a_certificate(ctx):
         members = orbit_masks(rec.mask, ctx.group)
         for m in rng.sample(members, min(10, len(members))):
             assert canonical_certificate(intersection_graph(m, ctx.ls)) == cert
+
+
+# ------------------------------------------------- refinement and invariance
+
+
+def test_canonical_order_realizes_the_certificate():
+    rng = random.Random(426)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5, 0.8]))
+        assert canonical_certificate(g) == f"{g.n}:{packed_hex(g.adj, canonical_order(g))}"
+
+
+def _is_equitable(adj, cells):
+    for cell in cells:
+        if cell & (cell - 1):
+            members = [v for v in range(len(adj)) if cell >> v & 1]
+            for other in cells:
+                if len({(adj[v] & other).bit_count() for v in members}) > 1:
+                    return False
+    return True
+
+
+def test_refined_partitions_are_equitable(ctx, monkeypatch):
+    # _refine has no final sweep: every partition it hands the search, on
+    # every arrangement's graph, must already be equitable
+    refine = graphs._refine
+    seen = []
+
+    def checked(adj, cells, splitter):
+        out = refine(adj, cells, splitter)
+        assert sorted(out) == sorted(set(out)) and sum(out) == (1 << len(adj)) - 1
+        if len(out) < len(adj):
+            assert _is_equitable(adj, out), (adj, out)
+        seen.append(len(out))
+        return out
+
+    monkeypatch.setattr(graphs, "_refine", checked)
+    for rec, cert in zip(ctx.records, ctx.certificates):
+        assert canonical_certificate(intersection_graph(rec.mask, ctx.ls)) == cert
+    assert len(seen) > len(ctx.records)
+
+
+def test_certificate_invariant_at_every_n(ctx):
+    # for every n, a relabeled graph and the graph of a moved arrangement
+    # get the arrangement's certificate
+    rng = random.Random(427)
+    by_n = {}
+    for rec, cert in zip(ctx.records, ctx.certificates):
+        by_n.setdefault(rec.n, []).append((rec, cert))
+    assert sorted(by_n) == list(range(28))
+    elements = ctx.group.elements
+    for n, pairs in sorted(by_n.items()):
+        for rec, cert in rng.sample(pairs, min(20, len(pairs))):
+            g = intersection_graph(rec.mask, ctx.ls)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_certificate(relabel(g, perm)) == cert
+            element = [int(x) for x in elements[rng.randrange(len(elements))]]
+            moved = apply_perm(rec.mask, element)
+            assert canonical_certificate(intersection_graph(moved, ctx.ls)) == cert
