@@ -30,11 +30,8 @@ from .graphs import classify_types, find_zariski_pairs
 from .invariants import invariant_report
 from .lines import (
     SIMPLE_ROOTS,
-    build_line_system,
     cycle_notation,
     generate_group,
-    isometry_to_permutation,
-    reflection,
     standard_generators,
     verify_dynkin,
     weyl_group,
@@ -160,10 +157,7 @@ def _fmt_lines(lines) -> str:
 
 def cmd_group(cfg: RunConfig) -> int:
     dynkin = verify_dynkin(SIMPLE_ROOTS)
-    ls = build_line_system()
-    group = generate_group(
-        tuple(isometry_to_permutation(reflection(r), ls) for r in SIMPLE_ROOTS)
-    )
+    group = generate_group(standard_generators())
     cycles = [cycle_notation(p) for p in group.generators]
     match = dynkin and not group_problems(group, load_expectations())
     fields = [("order", group.order), ("dynkin", dynkin)]
@@ -193,9 +187,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    ls = build_line_system()
     records = enumerate_all(weyl_group(), workers=cfg.workers)
-    fibers = classify_types(records, ls)
+    fibers = classify_types(records)
     big = [(cert, members) for cert, members in fibers.items() if len(members) > 1]
     doc = [
         {
@@ -221,7 +214,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_pairs(cfg: RunConfig) -> int:
     exp = load_expectations()
     ctx = build_context(workers=cfg.workers)
-    fibers = find_zariski_pairs(ctx.records, ctx.ls, certificates=ctx.certificates)
+    fibers = find_zariski_pairs(ctx.records, ctx.certificates)
     checks = pair_checks(ctx, exp)
     match = all(r.passed for r in checks)
     corollary = checks[-1].passed

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from operator import lshift, ne
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import invariants as _invariants
-from .lines import LINE_COUNT, LineSystem, build_line_system
-from .orbits import OrbitRecord
+from .lines import LINE_COUNT, build_line_system
+from .orbits import OrbitRecord, _bits
 
 
 @dataclass(frozen=True)
@@ -87,59 +87,21 @@ def _matrix_layout(n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     return w, diagonal, tuple(swaps)
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> IntersectionGraph:
-    adj = [0] * n
-    for a, b in edges:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"bad edge: {(a, b)}")
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return IntersectionGraph(n=n, adj=tuple(adj))
-
-
-def intersection_graph(mask: int, ls: LineSystem | None = None) -> IntersectionGraph:
+def intersection_graph(mask: int) -> IntersectionGraph:
     """Graph on the lines of the arrangement, edge iff the lines meet.
 
     Vertex k is the k-th line of the arrangement in increasing number order.
     Row k is that line's neighbour mask cut to the arrangement, with each
     line's bit moved to the line's vertex number.
     """
-    ls = ls or build_line_system()
     lines = _bits(mask)
     rank = dict(zip(lines, _POWERS)).__getitem__
-    neighbours = ls.neighbour_masks
+    neighbours = build_line_system().neighbour_masks
     adj = tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
     return IntersectionGraph(n=len(lines), adj=adj)
 
 
-def relabel(g: IntersectionGraph, perm: Sequence[int]) -> IntersectionGraph:
-    """Copy of g with vertex v renamed perm[v]."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        m = g.adj[v]
-        while m:
-            low = m & -m
-            m ^= low
-            row |= 1 << perm[low.bit_length() - 1]
-        adj[perm[v]] = row
-    return IntersectionGraph(n=g.n, adj=tuple(adj))
-
-
 _POWERS = tuple(1 << k for k in range(LINE_COUNT))
-# _BYTE_BITS[k][b] lists the bits 8k + i of the set bits i of byte b.
-_BYTE_BITS = tuple(
-    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
-    for k in range(4)
-)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of a nonnegative mask, in increasing order."""
-    t0, t1, t2, t3 = _BYTE_BITS
-    if mask >> 32:
-        return _bits(mask & 0xFFFFFFFF) + tuple(32 + i for i in _bits(mask >> 32))
-    return t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24]
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
@@ -231,11 +193,6 @@ def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
             return cells
         splitter = pending[applied]
         applied += 1
-
-
-def canonical_order(g: IntersectionGraph) -> tuple[int, ...]:
-    """Vertex order realizing the lexicographically smallest adjacency string."""
-    return tuple(c.bit_length() - 1 for c in _canonical_leaf(g.adj))
 
 
 def _canonical_leaf(adj: Sequence[int]) -> list[int]:
@@ -395,20 +352,15 @@ class TypeFiber:
 
 
 def classify_types(
-    records: Sequence[OrbitRecord],
-    ls: LineSystem | None = None,
-    certificates: Sequence[str] | None = None,
+    records: Sequence[OrbitRecord], certificates: Sequence[str] | None = None
 ) -> dict[str, list[OrbitRecord]]:
     """Group orbits by combinatorial type, preserving record order.
 
     Precomputed certificates (aligned with records) can be passed to avoid
     recomputation when the caller already has them.
     """
-    ls = ls or build_line_system()
     if certificates is None:
-        certificates = [
-            canonical_certificate(intersection_graph(r.mask, ls)) for r in records
-        ]
+        certificates = [canonical_certificate(intersection_graph(r.mask)) for r in records]
     fibers: dict[str, list[OrbitRecord]] = {}
     for record, cert in zip(records, certificates):
         fibers.setdefault(cert, []).append(record)
@@ -419,22 +371,19 @@ _REPORT_FIELDS = ("span_rank", "perp_rank", "perp_parity", "h1_torsion", "h1_fre
 
 
 def find_zariski_pairs(
-    records: Sequence[OrbitRecord],
-    ls: LineSystem | None = None,
-    certificates: Sequence[str] | None = None,
+    records: Sequence[OrbitRecord], certificates: Sequence[str] | None = None
 ) -> list[TypeFiber]:
     """Fibers of size > 1 of the type map, with the invariants separating them.
 
     distinguished_by lists every report field that is not constant across the
     fiber; a genuine pair of distinct embeddings must have at least one.
     """
-    ls = ls or build_line_system()
-    fibers = classify_types(records, ls, certificates)
+    fibers = classify_types(records, certificates)
     out: list[TypeFiber] = []
     for cert, members in fibers.items():
         if len(members) < 2:
             continue
-        reports = tuple(_invariants.invariant_report(r.mask, ls) for r in members)
+        reports = tuple(_invariants.invariant_report(r.mask) for r in members)
         differing = tuple(
             name
             for name in _REPORT_FIELDS

@@ -22,7 +22,7 @@ from .lattice import (
     is_even,
     smith_normal_form,
 )
-from .lines import AMBIENT, RANK, LineSystem, build_line_system
+from .lines import AMBIENT, RANK, build_line_system
 from .orbits import lines_of_mask
 
 
@@ -54,24 +54,18 @@ class InvariantReport:
         }
 
 
-def class_vectors(mask: int, ls: LineSystem | None = None) -> Matrix:
-    """Classes of the arrangement's lines, in increasing line-number order."""
-    ls = ls or build_line_system()
-    return tuple(ls.line_class(number) for number in lines_of_mask(mask))
-
-
-def restriction_matrix(mask: int, ls: LineSystem | None = None) -> Matrix:
+def restriction_matrix(mask: int) -> Matrix:
     """|S| x 7 matrix of the map x -> (<x, class of line>) over the lines.
 
     Row for line l is the coordinate vector of its class multiplied by the
     Gram matrix, so the map lands in one Z summand per line. The cokernel of
     this matrix carries the first homology of the complement of the union.
     """
-    rows = (ls or build_line_system()).pairing_rows
+    rows = build_line_system().pairing_rows
     return tuple(rows[number - 1] for number in lines_of_mask(mask))
 
 
-def invariant_report(mask: int, ls: LineSystem | None = None) -> InvariantReport:
+def invariant_report(mask: int) -> InvariantReport:
     """Both invariants from one normal-form pass over the restriction matrix.
 
     The restriction matrix A is U * [H; 0] for its Hermite form H (at most 7
@@ -83,7 +77,7 @@ def invariant_report(mask: int, ls: LineSystem | None = None) -> InvariantReport
     """
     lines = lines_of_mask(mask)
     # the empty arrangement has no rows; one zero row keeps the width at 7
-    hnf = hermite_normal_form(restriction_matrix(mask, ls)) or ((0,) * RANK,)
+    hnf = hermite_normal_form(restriction_matrix(mask)) or ((0,) * RANK,)
     snf = smith_normal_form(hnf)
     divisors = snf.divisors()
     rank = len(divisors)

@@ -80,12 +80,6 @@ class LineSystem:
             for i, row in enumerate(self.inter)
         )
 
-    def line_class(self, number: int) -> Vector:
-        """Class of the line with the given 1-based number."""
-        if not 1 <= number <= LINE_COUNT:
-            raise ValueError(f"line number out of range: {number}")
-        return self.classes[number - 1]
-
     def meet(self, a: int, b: int) -> int:
         """Intersection number of two distinct lines (1-based)."""
         if a == b:
@@ -138,16 +132,6 @@ class Isometry:
             sum(v[i] * self.matrix[i][j] for i in range(RANK)) for j in range(RANK)
         )
 
-    def preserves_pairing(self) -> bool:
-        g = AMBIENT.gram
-        m = self.matrix
-        for i in range(RANK):
-            for j in range(i, RANK):
-                lhs = inner_product(m[i], m[j], AMBIENT)
-                if lhs != g[i][j]:
-                    return False
-        return True
-
 
 def reflection(root: Sequence[int]) -> Isometry:
     """Reflection x -> x + <x, root> * root in a norm -2 root."""
@@ -187,13 +171,13 @@ def verify_dynkin(roots: Sequence[Sequence[int]] = SIMPLE_ROOTS) -> bool:
     )
 
 
-def isometry_to_permutation(iso: Isometry, ls: LineSystem | None = None) -> Perm:
+def isometry_to_permutation(iso: Isometry) -> Perm:
     """The permutation of the 27 line indices induced by an isometry.
 
     Raises if the isometry does not fix the anticanonical class or maps some
     line class outside the line set.
     """
-    ls = ls or build_line_system()
+    ls = build_line_system()
     if iso.apply(ANTICANONICAL) != ANTICANONICAL:
         raise ValueError("isometry does not fix the anticanonical class")
     images = []
@@ -202,18 +186,6 @@ def isometry_to_permutation(iso: Isometry, ls: LineSystem | None = None) -> Perm
     if len(set(images)) != LINE_COUNT:
         raise ValueError("isometry does not permute the line classes")
     return tuple(images)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Right-action composition: apply p first, then q."""
-    return tuple(q[i] for i in p)
-
-
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def cycle_notation(p: Perm) -> str:
@@ -239,12 +211,9 @@ def cycle_notation(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def standard_generators(ls: LineSystem | None = None) -> tuple[Perm, ...]:
+def standard_generators() -> tuple[Perm, ...]:
     """Permutations of the simple-root reflections, in root order."""
-    ls = ls or build_line_system()
-    return tuple(
-        isometry_to_permutation(reflection(r), ls) for r in SIMPLE_ROOTS
-    )
+    return tuple(isometry_to_permutation(reflection(r)) for r in SIMPLE_ROOTS)
 
 
 class PermutationGroup:
@@ -290,7 +259,7 @@ def generate_group(generators: Sequence[Perm]) -> PermutationGroup:
 
     Plain breadth-first closure; the identity always sorts first because it
     is lex-least among permutations. Elements are held as bytes, so that
-    compose(p, g) is p.translate through g padded to 256 entries, and bytes
+    p followed by g is p.translate through g padded to 256 entries, and bytes
     sort in the same order as the tuples of their values.
     """
     if not generators:

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lines import LINE_COUNT, Perm, PermutationGroup
+from .lines import LINE_COUNT, PermutationGroup
 
 FULL_MASK = (1 << LINE_COUNT) - 1
 
@@ -59,78 +59,33 @@ def mask_from_lines(lines: Iterable[int]) -> int:
 
 def lines_of_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based line numbers of a bitmask."""
-    return tuple(i + 1 for i in _bit_indices(mask))
+    return tuple(i + 1 for i in _bits(mask))
 
 
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+# _BYTE_BITS[k][b] lists the bits 8k + i of the set bits i of byte b.
+_BYTE_BITS = tuple(
+    tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+    for k in range(4)
+)
 
 
-def apply_perm(mask: int, perm: Perm) -> int:
-    """Image of an arrangement under a permutation of the line indices."""
-    out = 0
-    for i in _bit_indices(mask):
-        out |= 1 << perm[i]
-    return out
-
-
-def lex_less(a: int, b: int) -> bool:
-    """Definitional comparator: sorted index strings, equal sizes only."""
-    if a.bit_count() != b.bit_count():
-        raise ValueError("lex order is defined between equal-size arrangements")
-    return _bit_indices(a) < _bit_indices(b)
-
-
-def rev_key(mask: int, degree: int = LINE_COUNT) -> int:
-    """Bit-reversed encoding; bigger key means lex-smaller arrangement."""
-    key = 0
-    for i in _bit_indices(mask):
-        key |= 1 << (degree - 1 - i)
-    return key
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a nonnegative mask, in increasing order."""
+    t0, t1, t2, t3 = _BYTE_BITS
+    if mask >> 32:
+        return _bits(mask & 0xFFFFFFFF) + tuple(32 + i for i in _bits(mask >> 32))
+    return t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24]
 
 
 def _unrev(key: int, degree: int = LINE_COUNT) -> int:
     mask = 0
-    for j in _bit_indices(key):
+    for j in _bits(key):
         mask |= 1 << (degree - 1 - j)
     return mask
 
 
 def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
-    tbl = group.rev_table
-    idx = _bit_indices(mask)
-    if not idx:
-        return np.zeros(tbl.shape[0], dtype=tbl.dtype)
-    return tbl[:, idx].sum(axis=1)
-
-
-def is_minimal(mask: int, group: PermutationGroup, chunk: int = 8192) -> bool:
-    """Whether a mask is the lex-least member of its orbit.
-
-    Flat scan over the element table in chunks, leaving early as soon as a
-    lex-smaller image shows up.
-    """
-    idx = _bit_indices(mask)
-    if not idx:
-        return True
-    tbl = group.rev_table
-    own = rev_key(mask, group.degree)
-    for start in range(0, tbl.shape[0], chunk):
-        part = tbl[start : start + chunk, idx].sum(axis=1)
-        if int(part.max()) > own:
-            return False
-    return True
-
-
-def minimal_representative(mask: int, group: PermutationGroup) -> int:
-    """Lex-least member of the orbit of a mask."""
-    keys = _orbit_keys(mask, group)
-    return _unrev(int(keys.max()), group.degree)
+    return group.rev_table[:, _bits(mask)].sum(axis=1)
 
 
 def orbit_size(mask: int, group: PermutationGroup) -> int:
@@ -158,8 +113,8 @@ def _extend_batch(
     block c for candidate c alone, where g(c) = line 1 adds the top key bit.
     The child is kept when no row of either part beats the identity's key,
     and the stabilizer count over the same rows gives its orbit length.
-    The empty parent scans the whole table. A nonempty parent without
-    line 1 is not minimal, and raises ValueError.
+    A parent without line 1, the empty one included, raises ValueError:
+    only nonempty minimal parents have their children in these blocks.
     """
     order = tbl.shape[0]
     block = order // degree
@@ -167,15 +122,9 @@ def _extend_batch(
     cols = tbl.T.reshape(degree, degree, block)  # [point, block, row in block]
     out: list[tuple[int, int]] = []
     for mask in parents:
-        idx = _bit_indices(mask)
-        if not idx:
-            keep = tbl.max(axis=0) == tbl[0]
-            for c in np.flatnonzero(keep):
-                stab = int(np.count_nonzero(tbl[:, c] == tbl[0, c]))
-                out.append((1 << int(c), order // stab))
-            continue
-        if idx[0] != 0:
-            raise ValueError(f"{list(lines_of_mask(mask))} lacks line 1, so it is not minimal")
+        idx = _bits(mask)
+        if not idx or idx[0] != 0:
+            raise ValueError(f"{list(lines_of_mask(mask))} lacks line 1: not a nonempty minimal parent")
         first_cand = idx[-1] + 1
         if first_cand >= degree:
             continue
@@ -216,20 +165,6 @@ def _chunks(items: Sequence, pieces: int) -> list[Sequence]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def extend_minimal(reps: Sequence[int], group: PermutationGroup) -> list[int]:
-    """All minimal representatives one line bigger than the given level.
-
-    Expects the complete lex-sorted list of minimal representatives of one
-    size; returns the complete lex-sorted list of the next size. A nonempty
-    arrangement without line 1 is never minimal and raises ValueError.
-    """
-    sizes = {mask.bit_count() for mask in reps}
-    if len(sizes) > 1:
-        raise ValueError("representatives must share a cardinality")
-    ordered = sorted(reps, key=lambda m: rev_key(m, group.degree), reverse=True)
-    return [mask for mask, _ in _extend_batch(ordered, group.rev_table, group.degree)]
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     """One orbit: its lex-least arrangement and the orbit length."""
@@ -264,11 +199,12 @@ def enumerate_all(
     if not 0 <= limit <= group.degree:
         raise ValueError(f"max_n out of range: {max_n}")
     tbl = group.rev_table
-    records = [OrbitRecord(mask=0, orbit_size=1)]
-    parents = [0]
+    # rev_table admits only a transitive group: level 1 is one orbit, {line 1}.
+    records = [OrbitRecord(0, 1), OrbitRecord(1, group.degree)][: limit + 1]
+    parents = [1]
     pool = _start_pool(group, workers)
     try:
-        for _ in range(limit):
+        for _ in range(limit - 1):
             if pool is None or len(parents) < 2 * workers:
                 children = _extend_batch(parents, tbl, group.degree)
             else:

@@ -1,6 +1,9 @@
-"""The top-level library API is the one the README documents."""
+"""The package API: the README's top-level names, and no public definition
+that the package itself never uses."""
 
+import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import weyl27
@@ -16,3 +19,50 @@ def test_all_is_the_readme_library_api():
     assert sorted([*documented, "lines_of_mask"]) == sorted(weyl27.__all__)
     for name in weyl27.__all__:
         assert callable(getattr(weyl27, name))
+
+
+SRC = Path(weyl27.__file__).resolve().parent
+
+# Names the benchmark looks up at fixed module paths (perfbench/child.py
+# wraps them by name); they stay until it reads a stats side channel
+# instead (ROADMAP item 4).
+BENCHMARK_PINNED = {
+    "orbit_size",
+    "matrix_rank",
+    "orthogonal_complement",
+    "cokernel_invariants",
+    "is_even",
+}
+
+
+def _names(node):
+    """Every name and attribute name used under an AST node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    # a public function, class or method that nothing else in src/ refers
+    # to is test-only: it belongs in tests/oracles.py, or nowhere
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append(node)
+            if isinstance(node, ast.ClassDef):
+                definitions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    unused = [
+        node.name
+        for node in definitions
+        if not node.name.startswith("_")
+        and node.name not in weyl27.__all__
+        and node.name not in BENCHMARK_PINNED
+        and uses[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert unused == []
+    assert BENCHMARK_PINNED <= {node.name for node in definitions}

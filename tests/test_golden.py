@@ -84,7 +84,7 @@ def pipeline(ctx, results, monkeypatch):
     )
     monkeypatch.setattr(cli, "run_all", lambda workers=1: results)
     monkeypatch.setattr(
-        cli, "classify_types", lambda records, ls: classify_types(records, ls, ctx.certificates)
+        cli, "classify_types", lambda records: classify_types(records, ctx.certificates)
     )
 
 

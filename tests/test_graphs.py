@@ -5,19 +5,17 @@ import random
 
 import pytest
 
+from oracles import apply_perm, graph_from_edges, relabel
 from weyl27 import graphs
 from weyl27.graphs import (
     IntersectionGraph,
     canonical_certificate,
-    canonical_order,
     classify_types,
     find_zariski_pairs,
-    graph_from_edges,
     intersection_graph,
-    relabel,
 )
-from weyl27.lines import build_line_system, weyl_group
-from weyl27.orbits import apply_perm, enumerate_all, mask_from_lines
+from weyl27.lines import weyl_group
+from weyl27.orbits import enumerate_all, mask_from_lines
 
 
 def packed_hex(adj, order):
@@ -37,6 +35,11 @@ def brute_certificate(g):
     """Minimum packed form over every vertex ordering."""
     best = min(packed_hex(g.adj, perm) for perm in itertools.permutations(range(g.n)))
     return f"{g.n}:{best}"
+
+
+def canonical_order(g):
+    """Vertex order of the leaf whose adjacency string is the certificate."""
+    return [c.bit_length() - 1 for c in graphs._canonical_leaf(g.adj)]
 
 
 def random_graph(rng, n, p=0.5):
@@ -98,7 +101,7 @@ def test_intersection_graph_matches_meet(ctx):
     rng = random.Random(425)
     for rec in [*ctx.records[:40], *rng.sample(ctx.records, 200), ctx.records[-1]]:
         lines = rec.min_rep
-        g = intersection_graph(rec.mask, ctx.ls)
+        g = intersection_graph(rec.mask)
         assert g.n == len(lines)
         for a in range(g.n):
             for b in range(g.n):
@@ -107,16 +110,14 @@ def test_intersection_graph_matches_meet(ctx):
 
 
 def test_intersection_graph_vertices_follow_line_order():
-    ls = build_line_system()
-    g = intersection_graph(mask_from_lines([1, 2, 7]), ls)
+    g = intersection_graph(mask_from_lines([1, 2, 7]))
     # vertex i is the i-th smallest line; 1 and 2 are skew, both meet 7
     assert g.n == 3
     assert g.adj == (0b100, 0b100, 0b011)
 
 
 def test_intersection_graph_star():
-    ls = build_line_system()
-    g = intersection_graph(mask_from_lines([1, 2, 3, 4, 5, 27]), ls)
+    g = intersection_graph(mask_from_lines([1, 2, 3, 4, 5, 27]))
     # line 27 meets each of 1..5 and the rest are pairwise skew
     assert g.adj[5] == 0b011111
     for i in range(5):
@@ -201,8 +202,7 @@ def test_regular_graph_needs_individualization():
 
 
 def test_full_arrangement_certificate_is_stable():
-    ls = build_line_system()
-    g = intersection_graph((1 << 27) - 1, ls)
+    g = intersection_graph((1 << 27) - 1)
     assert canonical_certificate(g) == canonical_certificate(
         relabel(g, tuple(reversed(range(27))))
     )
@@ -212,10 +212,9 @@ def test_full_arrangement_certificate_is_stable():
 
 
 def test_classify_types_small():
-    ls = build_line_system()
     group = weyl_group()
     records = enumerate_all(group, max_n=2)
-    fibers = classify_types(records, ls)
+    fibers = classify_types(records)
     # empty, point, two skew, two meeting: all distinct types
     assert len(fibers) == 4
     for members in fibers.values():
@@ -223,17 +222,14 @@ def test_classify_types_small():
 
 
 def test_classify_types_accepts_precomputed_certificates():
-    ls = build_line_system()
     group = weyl_group()
     records = enumerate_all(group, max_n=2)
-    certs = [
-        canonical_certificate(intersection_graph(r.mask, ls)) for r in records
-    ]
-    assert classify_types(records, ls, certs) == classify_types(records, ls)
+    certs = [canonical_certificate(intersection_graph(r.mask)) for r in records]
+    assert classify_types(records, certs) == classify_types(records)
 
 
 def test_find_zariski_pairs_on_full_table(ctx):
-    fibers = find_zariski_pairs(ctx.records, ctx.ls, ctx.certificates)
+    fibers = find_zariski_pairs(ctx.records, ctx.certificates)
     assert len(fibers) == 2
     fibers = sorted(fibers, key=lambda f: f.members[0].n)
     first, second = fibers
@@ -263,10 +259,10 @@ def test_members_of_one_orbit_share_a_certificate(ctx):
     rng = random.Random(424)
     sample = rng.sample([r for r in ctx.records if 2 <= r.n <= 4], 5)
     for rec in sample:
-        cert = canonical_certificate(intersection_graph(rec.mask, ctx.ls))
+        cert = canonical_certificate(intersection_graph(rec.mask))
         members = orbit_masks(rec.mask, ctx.group)
         for m in rng.sample(members, min(10, len(members))):
-            assert canonical_certificate(intersection_graph(m, ctx.ls)) == cert
+            assert canonical_certificate(intersection_graph(m)) == cert
 
 
 # ------------------------------------------------- refinement and invariance
@@ -305,7 +301,7 @@ def test_refined_partitions_are_equitable(ctx, monkeypatch):
 
     monkeypatch.setattr(graphs, "_refine", checked)
     for rec, cert in zip(ctx.records, ctx.certificates):
-        assert canonical_certificate(intersection_graph(rec.mask, ctx.ls)) == cert
+        assert canonical_certificate(intersection_graph(rec.mask)) == cert
     assert len(seen) > len(ctx.records)
 
 
@@ -320,10 +316,10 @@ def test_certificate_invariant_at_every_n(ctx):
     elements = ctx.group.elements
     for n, pairs in sorted(by_n.items()):
         for rec, cert in rng.sample(pairs, min(20, len(pairs))):
-            g = intersection_graph(rec.mask, ctx.ls)
+            g = intersection_graph(rec.mask)
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_certificate(relabel(g, perm)) == cert
             element = [int(x) for x in elements[rng.randrange(len(elements))]]
             moved = apply_perm(rec.mask, element)
-            assert canonical_certificate(intersection_graph(moved, ctx.ls)) == cert
+            assert canonical_certificate(intersection_graph(moved)) == cert

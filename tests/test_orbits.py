@@ -1,5 +1,6 @@
 """Orbit enumeration under the line permutation group."""
 
+import itertools
 import multiprocessing
 import random
 from collections import Counter
@@ -7,21 +8,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import apply_perm, is_minimal, lex_less, minimal_representative, rev_key
+from weyl27.expectations import load_expectations
 from weyl27.lines import standard_generators, weyl_group
 from weyl27.orbits import (
     FULL_MASK,
     OrbitRecord,
-    apply_perm,
+    _extend_batch,
     enumerate_all,
-    extend_minimal,
-    is_minimal,
-    lex_less,
     lines_of_mask,
     mask_from_lines,
-    minimal_representative,
     orbit_masks,
     orbit_size,
-    rev_key,
 )
 
 
@@ -33,6 +31,11 @@ def brute_minimum(mask, group):
         if best is None or lex_less(img, best):
             best = img
     return best
+
+
+def children(parents, group):
+    """The next level's masks from lex-sorted minimal parents."""
+    return [mask for mask, _ in _extend_batch(parents, group.rev_table, group.degree)]
 
 
 # -------------------------------------------------------------------- masks
@@ -131,13 +134,16 @@ def test_known_minimal_representatives():
 
 
 def test_extend_from_empty_set():
+    # level 1 is seeded, not scanned: the group is transitive
     group = weyl_group()
-    assert [lines_of_mask(m) for m in extend_minimal([0], group)] == [(1,)]
+    records = enumerate_all(group, max_n=1)
+    assert records == [OrbitRecord(mask=0, orbit_size=1), OrbitRecord(mask=1, orbit_size=27)]
+    assert enumerate_all(group, max_n=0) == records[:1]
 
 
 def test_extend_from_single_line():
     group = weyl_group()
-    reps = extend_minimal([mask_from_lines([1])], group)
+    reps = children([mask_from_lines([1])], group)
     assert [lines_of_mask(m) for m in reps] == [(1, 2), (1, 7)]
     # agree with a direct scan over all candidate extensions
     expected = []
@@ -150,9 +156,9 @@ def test_extend_from_single_line():
 
 def test_extension_output_is_sorted_and_duplicate_free():
     group = weyl_group()
-    reps = [0]
-    for _ in range(4):
-        reps = extend_minimal(reps, group)
+    reps = [1]
+    for _ in range(3):
+        reps = children(reps, group)
     assert len(set(reps)) == len(reps)
     for a, b in zip(reps, reps[1:]):
         assert lex_less(a, b)
@@ -172,12 +178,15 @@ def test_extend_minimal_matches_full_table_scan(ctx):
             for c in range(parent.bit_length(), 27)
             if is_minimal(parent | (1 << c), ctx.group)
         ]
-        assert extend_minimal([parent], ctx.group) == expected
+        assert children([parent], ctx.group) == expected
 
 
 def test_extend_minimal_rejects_a_parent_without_line_1():
+    group = weyl_group()
     with pytest.raises(ValueError, match="line 1"):
-        extend_minimal([mask_from_lines([2, 5])], weyl_group())
+        children([mask_from_lines([2, 5])], group)
+    with pytest.raises(ValueError, match="line 1"):
+        children([0], group)
 
 
 # -------------------------------------------------------------- orbit sizes
@@ -335,16 +344,43 @@ def test_full_table_shape(ctx):
 
 
 def test_complements_of_reps_are_reps(ctx):
-    group = ctx.group
-    by_n = {}
-    for r in ctx.records:
-        by_n.setdefault(r.n, set()).add(r.mask)
-    rng = random.Random(421)
-    sample = [r for r in ctx.records if r.n <= 4]
-    sample += rng.sample(ctx.records, 60)
-    for r in sample:
-        comp = minimal_representative(FULL_MASK ^ r.mask, group)
-        assert comp in by_n[27 - r.n]
+    # complement is a bijection between the levels n and 27 - n that
+    # commutes with the group, so it maps orbits onto orbits of equal size;
+    # the lower half of the table reaches every record of the upper half
+    size_of = {r.mask: r.orbit_size for r in ctx.records}
+    lower = [r for r in ctx.records if r.n <= 13]
+    assert len(lower) == 2743
+    upper = set()
+    for r in lower:
+        comp = minimal_representative(FULL_MASK ^ r.mask, ctx.group)
+        assert comp.bit_count() == 27 - r.n
+        assert size_of.get(comp) == r.orbit_size, r.min_rep
+        upper.add(comp)
+    assert upper == {r.mask for r in ctx.records if r.n >= 14}
+
+
+def test_expected_fibers_have_explicit_isomorphisms(ctx):
+    # each expected fiber holds two orbits whose lines correspond under a
+    # bijection preserving every intersection number, found by brute force
+    # over the orders of the second member's lines
+    ls = ctx.ls
+    records = {r.min_rep: r for r in ctx.records}
+    for pair in load_expectations().zariski_pairs:
+        first, second = pair.members
+        assert first != second and first in records and second in records
+        pairs = list(itertools.combinations(range(len(first)), 2))
+        witness = next(
+            (
+                order
+                for order in itertools.permutations(second)
+                if all(ls.meet(first[i], first[j]) == ls.meet(order[i], order[j]) for i, j in pairs)
+            ),
+            None,
+        )
+        assert witness is not None, pair.members
+        assert sorted(witness) == list(second)
+        for i, j in pairs:
+            assert ls.meet(first[i], first[j]) == ls.meet(witness[i], witness[j])
 
 
 def test_orbit_record_shape():
