@@ -1,10 +1,13 @@
 """Acceptance checks shared by the verify subcommand and the test suite.
 
-Each check compares the freshly computed pipeline against the frozen
-expectations and returns a CheckResult with a deterministic detail string
-(no timings or paths in the text, so verify output is byte-identical across
-runs and worker counts). Time bounds are enforced as pass/fail conditions
-without being printed.
+Each check is a function of the pipeline context and the frozen
+expectations that returns its problems, one string each. CHECKS, at the end
+of this module, lists the checks in order with each one's name and passing
+detail, and one loop turns a row into a CheckResult: passed when there are
+no problems, with the problems joined by "; " as the detail, or else the
+passing detail. Details are deterministic (no timings or paths in the text,
+so verify output is byte-identical across runs and worker counts). Time
+bounds are enforced as pass/fail conditions without being printed.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +47,12 @@ LINES_TIME_LIMIT = 1.0
 ENUM_TIME_LIMIT_SERIAL = 600.0
 ENUM_TIME_LIMIT_PARALLEL = 120.0
 
+# Sizes of the property suites.
 PROPERTY_SEED = 990817
+SNF_TRIALS = 1000  # random matrices put in Smith form
+GRAM_TRIALS = 100  # random Gram matrices tested for parity
+CERTIFICATE_MAX_VERTICES = 5  # all graphs up to this size get brute-force keys
+INVARIANCE_MAX_N = 3  # orbits swept for constant invariants, by line count
 
 
 @dataclass(frozen=True)
@@ -74,11 +82,11 @@ class PipelineContext:
     enum_seconds: float
 
 
-def build_context(workers: int = 1) -> PipelineContext:
+def build_context(workers: int) -> PipelineContext:
     """Run the full pipeline, bypassing caches so the timings are honest.
 
-    ctx.ls is a fresh build of the line system, timed here and checked by
-    checks 2 and 8; the pipeline's functions read build_line_system().
+    ctx.ls is a fresh build of the line system, timed here and read only by
+    the checks; the pipeline's functions read build_line_system().
     """
     t0 = time.perf_counter()
     ls = build_line_system.__wrapped__()
@@ -107,38 +115,30 @@ def build_context(workers: int = 1) -> PipelineContext:
     )
 
 
-def run_all(
-    ctx: PipelineContext | None = None,
-    workers: int = 1,
-    exp: Expectations | None = None,
-) -> list[CheckResult]:
-    exp = exp or load_expectations()
+def run_all(ctx: PipelineContext | None = None, workers: int = 1) -> list[CheckResult]:
+    """Every check in CHECKS, in order. The expectations load before the
+    context is built, so a bad expectations file fails at once."""
+    exp = load_expectations()
     ctx = ctx or build_context(workers=workers)
-    fibers, sizes, invariants, corollary = pair_checks(ctx, exp)
-    return [
-        _check_group(ctx, exp),
-        _check_lines(ctx),
-        _check_table(ctx, exp),
-        _check_partition(ctx, exp),
-        fibers,
-        sizes,
-        invariants,
-        _check_disjoint_five(ctx, exp),
-        _check_properties(ctx),
-        corollary,
-    ]
+    return _run(ctx, exp, range(1, len(CHECKS) + 1))
 
 
 def pair_checks(ctx: PipelineContext, exp: Expectations) -> list[CheckResult]:
-    """Checks 5, 6, 7 and 10, everything the pairs subcommand reports on:
-    the coincident type fibers, their orbit sizes and invariants, and type
-    plus invariants separating every orbit."""
-    return [
-        _check_fibers(ctx, exp),
-        _check_orbit_sizes(ctx, exp),
-        _check_invariants(ctx, exp),
-        _check_corollary(ctx),
-    ]
+    """The rows PAIR_CHECKS selects, everything the pairs subcommand reports
+    on: the coincident type fibers, their orbit sizes and invariants, and
+    type plus invariants separating every orbit."""
+    return _run(ctx, exp, PAIR_CHECKS)
+
+
+def _run(ctx: PipelineContext, exp: Expectations, numbers: Iterable[int]) -> list[CheckResult]:
+    """The CheckResult of each numbered row of CHECKS."""
+    results = []
+    for number in numbers:
+        name, problems_of, passing = CHECKS[number - 1]
+        problems = problems_of(ctx, exp)
+        detail = "; ".join(problems) or passing.format(exp=exp, orbits=len(ctx.records))
+        results.append(CheckResult(number, name, not problems, detail))
+    return results
 
 
 def group_problems(group: PermutationGroup, exp: Expectations) -> list[str]:
@@ -155,19 +155,14 @@ def group_problems(group: PermutationGroup, exp: Expectations) -> list[str]:
     return problems
 
 
-def _check_group(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _group(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = group_problems(ctx.group, exp)
     if ctx.group_seconds >= GROUP_TIME_LIMIT:
         problems.append(f"closure took {ctx.group_seconds:.1f}s (limit {GROUP_TIME_LIMIT:.0f}s)")
-    return CheckResult(
-        1,
-        "group-construction",
-        not problems,
-        "; ".join(problems) or f"order {exp.group_order}, six generator cycles match",
-    )
+    return problems
 
 
-def _check_lines(ctx: PipelineContext) -> CheckResult:
+def _lines(ctx: PipelineContext, exp: Expectations) -> list[str]:
     ls = ctx.ls
     problems = []
     if len(ls.classes) != LINE_COUNT:
@@ -185,34 +180,19 @@ def _check_lines(ctx: PipelineContext) -> CheckResult:
     if any(d != 10 for d in degrees):
         problems.append("some line does not meet exactly 10 others")
     for k, g in enumerate(ctx.group.generators, start=1):
-        ok = all(
-            ls.inter[g[i]][g[j]] == ls.inter[i][j]
-            for i in range(LINE_COUNT)
-            for j in range(LINE_COUNT)
-        )
-        if not ok:
+        pairs = product(range(LINE_COUNT), repeat=2)
+        if any(ls.inter[g[i]][g[j]] != ls.inter[i][j] for i, j in pairs):
             problems.append(f"generator {k} does not preserve the matrix")
     if ctx.lines_seconds >= LINES_TIME_LIMIT:
         problems.append(f"construction took {ctx.lines_seconds:.2f}s (limit {LINES_TIME_LIMIT:.0f}s)")
-    return CheckResult(
-        2,
-        "line-system",
-        not problems,
-        "; ".join(problems)
-        or "27 classes, symmetric matrix, diagonal -1, each line meets 10, generators preserve it",
-    )
+    return problems
 
 
-def _counts_by_n(records: Sequence[OrbitRecord]) -> list[int]:
-    counts = [0] * (LINE_COUNT + 1)
-    for r in records:
-        counts[r.n] += 1
-    return counts
-
-
-def _check_table(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _table(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = []
-    counts = _counts_by_n(ctx.records)
+    counts = [0] * (LINE_COUNT + 1)
+    for r in ctx.records:
+        counts[r.n] += 1
     if tuple(counts) != exp.orbit_counts:
         diffs = [
             f"n={n}: {got} != {want}"
@@ -222,20 +202,13 @@ def _check_table(ctx: PipelineContext, exp: Expectations) -> CheckResult:
         problems.append("counts mismatch (" + ", ".join(diffs) + ")")
     if len(ctx.records) != exp.total_orbits:
         problems.append(f"total {len(ctx.records)} != {exp.total_orbits}")
-    limit = (
-        ENUM_TIME_LIMIT_PARALLEL if ctx.workers >= 8 else ENUM_TIME_LIMIT_SERIAL
-    )
+    limit = ENUM_TIME_LIMIT_PARALLEL if ctx.workers >= 8 else ENUM_TIME_LIMIT_SERIAL
     if ctx.enum_seconds >= limit:
         problems.append(f"enumeration took {ctx.enum_seconds:.0f}s (limit {limit:.0f}s)")
-    return CheckResult(
-        3,
-        "orbit-table",
-        not problems,
-        "; ".join(problems) or f"per-n counts match the published table; total {exp.total_orbits}",
-    )
+    return problems
 
 
-def _check_partition(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _partition(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = []
     total = sum(r.orbit_size for r in ctx.records)
     if total != exp.power_set_size:
@@ -243,16 +216,10 @@ def _check_partition(ctx: PipelineContext, exp: Expectations) -> CheckResult:
     bad = [r for r in ctx.records if exp.group_order % r.orbit_size]
     if bad:
         problems.append(f"{len(bad)} orbit sizes do not divide {exp.group_order}")
-    return CheckResult(
-        4,
-        "power-set-partition",
-        not problems,
-        "; ".join(problems)
-        or f"orbit sizes sum to 2^27 and all divide {exp.group_order}",
-    )
+    return problems
 
 
-def _check_fibers(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _fibers(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = []
     fibers = find_zariski_pairs(ctx.records, ctx.certificates)
     if len(fibers) != len(exp.zariski_pairs):
@@ -264,98 +231,71 @@ def _check_fibers(ctx: PipelineContext, exp: Expectations) -> CheckResult:
     oversized = [f for f in fibers if len(f.members) != 2]
     if oversized:
         problems.append(f"{len(oversized)} fibers are not of size 2")
-    return CheckResult(
-        5,
-        "type-fibers",
-        not problems,
-        "; ".join(problems)
-        or "exactly two fibers of size > 1, both of size 2, with the expected representatives",
-    )
+    return problems
 
 
-def _record_by_lines(ctx: PipelineContext, lines: Sequence[int]) -> OrbitRecord | None:
-    mask = mask_from_lines(lines)
-    for r in ctx.records:
-        if r.mask == mask:
-            return r
-    return None
+def _expected_members(ctx: PipelineContext, exp: Expectations) -> list[tuple]:
+    """(pair, k, lines, i) for member k of each expected pair: i indexes the
+    member's record in ctx.records, None when it is not a representative."""
+    index = {r.mask: i for i, r in enumerate(ctx.records)}
+    return [
+        (pair, k, member, index.get(mask_from_lines(member)))
+        for pair in exp.zariski_pairs
+        for k, member in enumerate(pair.members)
+    ]
 
 
-def _check_orbit_sizes(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _orbit_sizes(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = []
-    for pair in exp.zariski_pairs:
-        for member, want in zip(pair.members, pair.orbit_sizes):
-            record = _record_by_lines(ctx, member)
-            if record is None:
-                problems.append(f"{list(member)} is not a minimal representative")
-            elif record.orbit_size != want:
-                problems.append(f"orbit of {list(member)} has size {record.orbit_size} != {want}")
-    return CheckResult(
-        6,
-        "pair-orbit-sizes",
-        not problems,
-        "; ".join(problems) or "orbit sizes 432, 216, 432, 432 for the four representatives",
-    )
+    for pair, k, member, i in _expected_members(ctx, exp):
+        if i is None:
+            problems.append(f"{list(member)} is not a minimal representative")
+        elif ctx.records[i].orbit_size != pair.orbit_sizes[k]:
+            problems.append(
+                f"orbit of {list(member)} has size {ctx.records[i].orbit_size}"
+                f" != {pair.orbit_sizes[k]}"
+            )
+    return problems
 
 
-def _check_invariants(ctx: PipelineContext, exp: Expectations) -> CheckResult:
+def _invariants(ctx: PipelineContext, exp: Expectations) -> list[str]:
+    def show(value):
+        return list(value) if isinstance(value, tuple) else value
+
     problems = []
-    by_mask = {r.mask: rep for r, rep in zip(ctx.records, ctx.reports)}
-    for pair in exp.zariski_pairs:
-        for idx, member in enumerate(pair.members):
-            report = by_mask.get(mask_from_lines(member))
-            if report is None:
-                problems.append(f"no report for {list(member)}")
-                continue
-            if pair.perp_parity and report.perp_parity != pair.perp_parity[idx]:
-                problems.append(
-                    f"parity of {list(member)} is {report.perp_parity},"
-                    f" expected {pair.perp_parity[idx]}"
-                )
-            if pair.h1_torsion is not None and report.h1_torsion != pair.h1_torsion[idx]:
-                problems.append(
-                    f"h1 torsion of {list(member)} is {list(report.h1_torsion)},"
-                    f" expected {list(pair.h1_torsion[idx])}"
-                )
-            if pair.h1_free_rank is not None and report.h1_free_rank != pair.h1_free_rank[idx]:
-                problems.append(
-                    f"h1 free rank of {list(member)} is {report.h1_free_rank},"
-                    f" expected {pair.h1_free_rank[idx]}"
-                )
-    return CheckResult(
-        7,
-        "pair-invariants",
-        not problems,
-        "; ".join(problems)
-        or "parity odd/even on the 5-line pair; h1 torsion [2]/[] with free rank 0 on the 6-line pair",
-    )
-
-
-def _check_disjoint_five(ctx: PipelineContext, exp: Expectations) -> CheckResult:
-    problems = []
-    disjoint = []
-    for r in ctx.records:
-        if r.n != 5:
+    for pair, k, member, i in _expected_members(ctx, exp):
+        if i is None:
+            problems.append(f"no report for {list(member)}")
             continue
-        lines = r.min_rep
-        if all(
-            ctx.ls.meet(a, b) == 0 for i, a in enumerate(lines) for b in lines[i + 1 :]
+        for field, label in (
+            ("perp_parity", "parity"),
+            ("h1_torsion", "h1 torsion"),
+            ("h1_free_rank", "h1 free rank"),
         ):
-            disjoint.append(r)
-    sizes = tuple(r.orbit_size for r in disjoint)
-    if len(disjoint) != len(exp.disjoint_five_orbit_sizes):
-        problems.append(f"{len(disjoint)} orbits of five disjoint lines, expected 2")
-    elif sizes != exp.disjoint_five_orbit_sizes:
-        problems.append(f"orbit sizes {sizes} != {exp.disjoint_five_orbit_sizes}")
-    return CheckResult(
-        8,
-        "disjoint-five-orbits",
-        not problems,
-        "; ".join(problems) or "five pairwise-disjoint lines fall into exactly 2 orbits (432 and 216)",
+            want = getattr(pair, field)
+            got = getattr(ctx.reports[i], field)
+            if want is not None and got != want[k]:
+                problems.append(
+                    f"{label} of {list(member)} is {show(got)}, expected {show(want[k])}"
+                )
+    return problems
+
+
+def _disjoint_five(ctx: PipelineContext, exp: Expectations) -> list[str]:
+    sizes = tuple(
+        r.orbit_size
+        for r in ctx.records
+        if r.n == 5 and all(ctx.ls.meet(a, b) == 0 for a, b in combinations(r.min_rep, 2))
     )
+    want = exp.disjoint_five_orbit_sizes
+    if len(sizes) != len(want):
+        return [f"{len(sizes)} orbits of five disjoint lines, expected {len(want)}"]
+    if sizes != want:
+        return [f"orbit sizes {sizes} != {want}"]
+    return []
 
 
-# --- criterion 9: property suites with independent oracles ---
+# --- property suites with independent oracles ---
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -366,9 +306,9 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     ]
 
 
-def _snf_suite(trials: int = 1000) -> str | None:
+def _snf_suite() -> str | None:
     rng = random.Random(PROPERTY_SEED)
-    for trial in range(trials):
+    for trial in range(SNF_TRIALS):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
@@ -380,10 +320,8 @@ def _snf_suite(trials: int = 1000) -> str | None:
         if abs(lattice.det(res.u)) != 1 or abs(lattice.det(res.v)) != 1:
             return f"non-unimodular transform at trial {trial}"
         diag = [res.d[i][i] for i in range(min(m, n))]
-        for i, row in enumerate(res.d):
-            for j, x in enumerate(row):
-                if i != j and x:
-                    return f"off-diagonal entry at trial {trial}"
+        if any(x for i, row in enumerate(res.d) for j, x in enumerate(row) if i != j):
+            return f"off-diagonal entry at trial {trial}"
         if any(x < 0 for x in diag):
             return f"negative divisor at trial {trial}"
         nz = [x for x in diag if x]
@@ -392,18 +330,14 @@ def _snf_suite(trials: int = 1000) -> str | None:
         for x, y in zip(nz, nz[1:]):
             if y % x:
                 return f"divisibility chain broken at trial {trial}"
-        flat_gcd = 0
-        for row in a:
-            for x in row:
-                flat_gcd = gcd(flat_gcd, x)
-        if (nz[0] if nz else 0) != flat_gcd:
+        if (nz[0] if nz else 0) != gcd(*(x for row in a for x in row)):
             return f"first divisor is not the entry gcd at trial {trial}"
     return None
 
 
-def _is_even_suite(trials: int = 100) -> str | None:
+def _is_even_suite() -> str | None:
     rng = random.Random(PROPERTY_SEED + 1)
-    for trial in range(trials):
+    for trial in range(GRAM_TRIALS):
         n = rng.randint(1, 4)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -444,8 +378,8 @@ def _brute_keys(n: int) -> np.ndarray:
     return keys
 
 
-def _certificate_suite(max_vertices: int = 5) -> str | None:
-    for n in range(max_vertices + 1):
+def _certificate_suite() -> str | None:
+    for n in range(CERTIFICATE_MAX_VERTICES + 1):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keys = _brute_keys(n).tolist()
         brute_to_cert: dict[int, str] = {}
@@ -473,7 +407,7 @@ def _parity_and_h1(mask: int) -> tuple:
 def _invariance_suite(ctx: PipelineContext) -> str | None:
     checked = 0
     for r in ctx.records:
-        if r.n > 3:
+        if r.n > INVARIANCE_MAX_N:
             break
         base = _parity_and_h1(r.mask)
         members = orbit_masks(r.mask, ctx.group)
@@ -483,41 +417,53 @@ def _invariance_suite(ctx: PipelineContext) -> str | None:
             if _parity_and_h1(member) != base:
                 return f"invariants vary inside the orbit of {list(r.min_rep)}"
             checked += 1
-    if checked != sum(r.orbit_size for r in ctx.records if r.n <= 3):
+    if checked != sum(r.orbit_size for r in ctx.records if r.n <= INVARIANCE_MAX_N):
         return "invariance sweep missed members"
     return None
 
 
-def _check_properties(ctx: PipelineContext) -> CheckResult:
-    problems = []
-    for failure in (
-        _snf_suite(),
-        _is_even_suite(),
-        _certificate_suite(),
-        _invariance_suite(ctx),
-    ):
-        if failure:
-            problems.append(failure)
-    return CheckResult(
-        9,
-        "property-suites",
-        not problems,
-        "; ".join(problems)
-        or "snf identities on 1000 random matrices; parity vs box on 100 grams;"
-        " certificates match brute force on all graphs up to 5 vertices;"
-        " parity and h1 constant on every orbit at n <= 3",
-    )
+def _properties(ctx: PipelineContext, exp: Expectations) -> list[str]:
+    failures = (_snf_suite(), _is_even_suite(), _certificate_suite(), _invariance_suite(ctx))
+    return [failure for failure in failures if failure]
 
 
-def _check_corollary(ctx: PipelineContext) -> CheckResult:
-    tuples = {
+def _corollary(ctx: PipelineContext, exp: Expectations) -> list[str]:
+    classes = len({
         (cert, rep.perp_parity, rep.h1_torsion, rep.h1_free_rank)
         for cert, rep in zip(ctx.certificates, ctx.reports)
-    }
-    ok = len(tuples) == len(ctx.records)
-    detail = (
-        f"type plus invariants separate all {len(ctx.records)} orbits"
-        if ok
-        else f"only {len(tuples)} distinct (type, invariants) classes for {len(ctx.records)} orbits"
-    )
-    return CheckResult(10, "deformation-equals-type", ok, detail)
+    })
+    if classes == len(ctx.records):
+        return []
+    return [f"only {classes} distinct (type, invariants) classes for {len(ctx.records)} orbits"]
+
+
+# The acceptance checks in order, check k in row k - 1: its name, the
+# function returning its problems, and its detail when it passes, a
+# str.format template over exp and orbits (the number of records).
+CHECKS = (
+    ("group-construction", _group,
+     "order {exp.group_order}, six generator cycles match"),
+    ("line-system", _lines,
+     "27 classes, symmetric matrix, diagonal -1, each line meets 10, generators preserve it"),
+    ("orbit-table", _table,
+     "per-n counts match the published table; total {exp.total_orbits}"),
+    ("power-set-partition", _partition,
+     "orbit sizes sum to 2^27 and all divide {exp.group_order}"),
+    ("type-fibers", _fibers,
+     "exactly two fibers of size > 1, both of size 2, with the expected representatives"),
+    ("pair-orbit-sizes", _orbit_sizes,
+     "orbit sizes 432, 216, 432, 432 for the four representatives"),
+    ("pair-invariants", _invariants,
+     "parity odd/even on the 5-line pair; h1 torsion [2]/[] with free rank 0 on the 6-line pair"),
+    ("disjoint-five-orbits", _disjoint_five,
+     "five pairwise-disjoint lines fall into exactly 2 orbits (432 and 216)"),
+    ("property-suites", _properties,
+     f"snf identities on {SNF_TRIALS} random matrices; parity vs box on {GRAM_TRIALS} grams;"
+     f" certificates match brute force on all graphs up to {CERTIFICATE_MAX_VERTICES} vertices;"
+     f" parity and h1 constant on every orbit at n <= {INVARIANCE_MAX_N}"),
+    ("deformation-equals-type", _corollary,
+     "type plus invariants separate all {orbits} orbits"),
+)
+
+# The rows the pairs subcommand reports.
+PAIR_CHECKS = (5, 6, 7, 10)

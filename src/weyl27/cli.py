@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .checks import build_context, group_problems, pair_checks, run_all
-from .expectations import load_expectations
+from .expectations import ExpectationsError, load_expectations
 from .graphs import classify_types, find_zariski_pairs
 from .invariants import invariant_report
 from .lines import (
@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.run(cfg)
-    except (OSError, WorkerError) as exc:
+    except (OSError, ExpectationsError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

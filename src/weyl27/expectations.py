@@ -3,15 +3,18 @@
 Everything the verifier diffs against lives in one JSON file
 (data/expectations.json) instead of being scattered through code, so the
 provenance of every expected number is auditable in one place. The env var
-WEYL27_EXPECTATIONS overrides the file path.
+WEYL27_EXPECTATIONS overrides the file path. A malformed file raises
+ExpectationsError, which the CLI reports as one error line.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+
+from .lines import LINE_COUNT
 
 ENV_VAR = "WEYL27_EXPECTATIONS"
 
@@ -42,26 +45,46 @@ class Expectations:
     disjoint_five_orbit_sizes: tuple[int, ...]
 
 
-def _parse(raw: dict) -> Expectations:
+class ExpectationsError(ValueError):
+    """The expectations file is not valid JSON or lacks what the checks read."""
+
+
+def _per_member(entry: dict, key: str, members: tuple, where: str) -> tuple | None:
+    """entry[key] as a tuple of one value per member, lists made tuples;
+    None when the key is absent or null."""
+    values = entry.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, list) or len(values) != len(members):
+        raise ExpectationsError(f"{where}: {key} needs one entry per member ({len(members)})")
+    return tuple(tuple(v) if isinstance(v, list) else v for v in values)
+
+
+def _parse(raw, source: str) -> Expectations:
+    missing = [f.name for f in fields(Expectations) if f.name not in raw]
+    if missing:
+        raise ExpectationsError(f"{source}: missing {', '.join(missing)}")
     pairs = []
-    for entry in raw["zariski_pairs"]:
+    for number, entry in enumerate(raw["zariski_pairs"], start=1):
+        where = f"{source}: zariski pair {number}"
+        members = tuple(tuple(m) for m in entry["members"])
+        for member in members:
+            if len(set(member)) != len(member) or not all(
+                type(x) is int and 1 <= x <= LINE_COUNT for x in member
+            ):
+                raise ExpectationsError(
+                    f"{where}: member {list(member)} needs distinct lines in 1..{LINE_COUNT}"
+                )
+        orbit_sizes = _per_member(entry, "orbit_sizes", members, where)
+        if orbit_sizes is None:
+            raise ExpectationsError(f"{where}: missing orbit_sizes")
         pairs.append(
             PairExpectation(
-                members=tuple(tuple(m) for m in entry["members"]),
-                orbit_sizes=tuple(entry["orbit_sizes"]),
-                perp_parity=(
-                    tuple(entry["perp_parity"]) if entry.get("perp_parity") else None
-                ),
-                h1_torsion=(
-                    tuple(tuple(t) for t in entry["h1_torsion"])
-                    if entry.get("h1_torsion") is not None
-                    else None
-                ),
-                h1_free_rank=(
-                    tuple(entry["h1_free_rank"])
-                    if entry.get("h1_free_rank") is not None
-                    else None
-                ),
+                members=members,
+                orbit_sizes=orbit_sizes,
+                perp_parity=_per_member(entry, "perp_parity", members, where),
+                h1_torsion=_per_member(entry, "h1_torsion", members, where),
+                h1_free_rank=_per_member(entry, "h1_free_rank", members, where),
             )
         )
     return Expectations(
@@ -75,12 +98,22 @@ def _parse(raw: dict) -> Expectations:
     )
 
 
-def load_expectations(path: str | None = None) -> Expectations:
-    """Load expectations from an explicit path, $WEYL27_EXPECTATIONS, or the
-    file shipped with the package, in that precedence order."""
-    path = path or os.environ.get(ENV_VAR)
+def load_expectations() -> Expectations:
+    """Load expectations from $WEYL27_EXPECTATIONS, or else the file shipped
+    with the package. A file that is not JSON, or misses or mistypes a value
+    the checks read, raises ExpectationsError."""
+    path = os.environ.get(ENV_VAR)
     if path:
         with open(path, encoding="utf-8") as fh:
-            return _parse(json.load(fh))
-    text = resources.files("weyl27").joinpath("data/expectations.json").read_text("utf-8")
-    return _parse(json.loads(text))
+            text = fh.read()
+    else:
+        path = "data/expectations.json"
+        text = resources.files("weyl27").joinpath(path).read_text("utf-8")
+    try:
+        return _parse(json.loads(text), path)
+    except ExpectationsError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise ExpectationsError(f"{path}: not valid JSON: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExpectationsError(f"{path}: malformed value: {exc!r}") from None

@@ -77,7 +77,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24]
 
 
-def _unrev(key: int, degree: int = LINE_COUNT) -> int:
+def _unrev(key: int, degree: int) -> int:
     mask = 0
     for j in _bits(key):
         mask |= 1 << (degree - 1 - j)

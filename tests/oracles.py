@@ -2,6 +2,8 @@
 such as minimality by a scan over every group element. Arrangements are
 bitmasks, bit i for line i + 1."""
 
+import numpy as np
+
 from weyl27.graphs import IntersectionGraph
 from weyl27.lattice import inner_product
 from weyl27.lines import AMBIENT, LINE_COUNT, RANK, build_line_system
@@ -23,6 +25,12 @@ def apply_perm(mask, perm):
     for i in indices(mask):
         out |= 1 << perm[i]
     return out
+
+
+def image_rows(mask, group):
+    """The image of the mask under every group element, one row per element:
+    its line indices, sorted, as Python lists (which compare in lex order)."""
+    return np.sort(group.elements[:, indices(mask)], axis=1).tolist()
 
 
 def lex_less(a, b):

@@ -3,10 +3,14 @@
 Run with -s to see the printed status lines alongside the assertions.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from weyl27 import checks
 from weyl27.checks import run_all
+from weyl27.expectations import load_expectations
 
 CRITERIA = [
     (1, "group-construction"),
@@ -45,6 +49,19 @@ def test_property_suite_fails_a_non_canonical_certificate(ctx, monkeypatch):
         return f"{g.n}:{','.join(map(str, g.adj))}"
 
     monkeypatch.setattr(checks, "canonical_certificate", identity_packing)
-    result = checks._check_properties(ctx)
+    (result,) = checks._run(ctx, load_expectations(), [9])
     assert not result.passed
     assert "one isomorphism class got two certificates (n=3)" in result.detail
+
+
+def test_disjoint_five_failure_names_the_expected_count(ctx, tmp_path, monkeypatch):
+    shipped = Path(checks.__file__).parent / "data" / "expectations.json"
+    raw = json.loads(shipped.read_text(encoding="utf-8"))
+    raw["disjoint_five_orbit_sizes"] = [432, 216, 216]
+    path = tmp_path / "expectations.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("WEYL27_EXPECTATIONS", str(path))
+    (result,) = checks._run(ctx, load_expectations(), [8])
+    assert not result.passed
+    assert result.detail == "2 orbits of five disjoint lines, expected 3"
+

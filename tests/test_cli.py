@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import weyl27.checks as checks
 import weyl27.cli as cli
 import weyl27.orbits as orbits
 from weyl27.checks import group_problems, pair_checks, run_all
@@ -34,14 +35,15 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+SHIPPED_EXPECTATIONS = Path(cli.__file__).parent / "data" / "expectations.json"
+
+
 @pytest.fixture
 def wrong_expectations(tmp_path, monkeypatch):
     """Shipped expectations with the group order, one orbit size and one
     torsion changed and a seventh generator added, selected through
     WEYL27_EXPECTATIONS."""
-    raw = json.loads(
-        (Path(cli.__file__).parent / "data" / "expectations.json").read_text(encoding="utf-8")
-    )
+    raw = json.loads(SHIPPED_EXPECTATIONS.read_text(encoding="utf-8"))
     raw["group_order"] += 1
     raw["generator_cycles"].append("(1,27)")
     raw["zariski_pairs"][0]["orbit_sizes"][1] += 1
@@ -211,6 +213,77 @@ def test_group_fails_against_other_expectations(wrong_expectations, capsys):
         "order 51840 != 51841",
         "6 generators, expected 7",
     ]
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+def _edited(edit):
+    def apply(text):
+        raw = json.loads(text)
+        edit(raw)
+        return json.dumps(raw)
+
+    return apply
+
+
+# (shipped text -> malformed text, a fragment of the one error line)
+MALFORMED_EXPECTATIONS = {
+    "truncated": (_truncated, "not valid JSON"),
+    "no-zariski-pairs": (_edited(lambda raw: raw.pop("zariski_pairs")), "missing zariski_pairs"),
+    "empty-h1-torsion": (
+        _edited(lambda raw: raw["zariski_pairs"][1].update(h1_torsion=[])),
+        "zariski pair 2: h1_torsion needs one entry per member (2)",
+    ),
+    "empty-perp-parity": (
+        _edited(lambda raw: raw["zariski_pairs"][0].update(perp_parity=[])),
+        "zariski pair 1: perp_parity needs one entry per member (2)",
+    ),
+    "short-orbit-sizes": (
+        _edited(lambda raw: raw["zariski_pairs"][0]["orbit_sizes"].pop()),
+        "zariski pair 1: orbit_sizes needs one entry per member (2)",
+    ),
+    "line-28": (
+        _edited(lambda raw: raw["zariski_pairs"][0]["members"][1].append(28)),
+        "zariski pair 1: member [1, 2, 3, 4, 21, 28] needs distinct lines in 1..27",
+    ),
+    "line-0": (
+        _edited(lambda raw: raw["zariski_pairs"][1]["members"][0].__setitem__(0, 0)),
+        "zariski pair 2: member [0, 2, 3, 4, 5, 27] needs distinct lines in 1..27",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["group", "pairs", "verify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_EXPECTATIONS))
+def test_malformed_expectations_exit_1_with_one_error_line(
+    case, command, tmp_path, monkeypatch, capsys
+):
+    corrupt, fragment = MALFORMED_EXPECTATIONS[case]
+    path = tmp_path / "expectations.json"
+    path.write_text(corrupt(SHIPPED_EXPECTATIONS.read_text(encoding="utf-8")), encoding="utf-8")
+    monkeypatch.setenv("WEYL27_EXPECTATIONS", str(path))
+
+    def no_pipeline(workers):
+        raise AssertionError("the pipeline ran before the expectations loaded")
+
+    monkeypatch.setattr(cli, "build_context", no_pipeline)
+    monkeypatch.setattr(checks, "build_context", no_pipeline)
+    code, out, err = run([command, "--workers", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert fragment in err
+    assert err.count("\n") == 1
+
+
+def test_missing_expectations_file_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEYL27_EXPECTATIONS", str(tmp_path / "absent.json"))
+    code, out, err = run(["group", "--workers", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- enumerate

@@ -8,7 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import apply_perm, is_minimal, lex_less, minimal_representative, rev_key
+from oracles import (
+    apply_perm,
+    image_rows,
+    indices,
+    is_minimal,
+    lex_less,
+    minimal_representative,
+    rev_key,
+)
 from weyl27.expectations import load_expectations
 from weyl27.lines import standard_generators, weyl_group
 from weyl27.orbits import (
@@ -25,12 +33,7 @@ from weyl27.orbits import (
 
 def brute_minimum(mask, group):
     """Smallest orbit member by direct scan over all group elements."""
-    best = None
-    for row in group.elements:
-        img = apply_perm(mask, tuple(int(x) for x in row))
-        if best is None or lex_less(img, best):
-            best = img
-    return best
+    return sum(1 << i for i in min(image_rows(mask, group)))
 
 
 def children(parents, group):
@@ -70,6 +73,17 @@ def test_apply_perm():
     assert apply_perm(0, gens[0]) == 0
     ident = tuple(range(27))
     assert apply_perm(FULL_MASK, ident) == FULL_MASK
+
+
+def test_image_rows_are_the_images_under_apply_perm():
+    group = weyl_group()
+    rng = random.Random(431)
+    for mask in (0, mask_from_lines([3]), mask_from_lines([1, 2, 3, 4, 21, 26])):
+        rows = image_rows(mask, group)
+        assert len(rows) == group.order
+        for k in rng.sample(range(group.order), 20):
+            image = apply_perm(mask, tuple(int(x) for x in group.elements[k]))
+            assert rows[k] == indices(image)
 
 
 # ----------------------------------------------------------------- ordering
@@ -203,7 +217,7 @@ def test_orbit_size_matches_direct_orbit():
     group = weyl_group()
     for lines in ([1], [1, 2], [1, 7], [1, 2, 3, 4, 5], [1, 2, 3, 4, 21]):
         mask = mask_from_lines(lines)
-        orbit = {apply_perm(mask, tuple(int(x) for x in row)) for row in group.elements}
+        orbit = {tuple(row) for row in image_rows(mask, group)}
         assert orbit_size(mask, group) == len(orbit)
 
 
@@ -327,9 +341,7 @@ def test_returned_reps_are_fixed_by_no_smaller_image(ctx):
     group = ctx.group
     small = [r.mask for r in ctx.records if r.n <= 3]
     for mask in small:
-        for row in group.elements:
-            img = apply_perm(mask, tuple(int(x) for x in row))
-            assert img == mask or not lex_less(img, mask)
+        assert min(image_rows(mask, group)) == indices(mask)
 
 
 def test_full_table_shape(ctx):
