@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import stat
 import sys
@@ -39,6 +40,8 @@ from .lines import (
 from .orbits import WorkerError, enumerate_all, mask_from_lines
 
 FORMATS = ("json", "csv", "text")
+# the commands that run the enumeration, the only work split across a pool
+POOLED = ("enumerate", "classify", "pairs", "verify")
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,9 @@ class RunConfig:
 
 
 def _default_workers() -> int:
+    """Every available core, or 1 where the pool cannot fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     counter = getattr(os, "process_cpu_count", None) or os.cpu_count
     return counter() or 1
 
@@ -286,12 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--output", metavar="PATH", help="write the result to a file")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=_default_workers(),
-            help="parallel worker processes (default: available cores)",
-        )
+        if name in POOLED:
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=_default_workers(),
+                help="parallel worker processes (default: available cores; 1 without fork)",
+            )
         p.set_defaults(run=run)
         return p
 
@@ -315,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(
             output_path=args.output,
             format=args.format,
-            workers=args.workers,
+            workers=getattr(args, "workers", 1),
             n_filter=getattr(args, "n_filter", None),
             lines=tuple(getattr(args, "lines", ())),
         )

@@ -25,7 +25,7 @@ def _to_rows(a: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def _freeze(rows: Iterable[Sequence[int]]) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -88,49 +88,28 @@ class SNFResult:
 def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
     """Smith normal form with tracked unimodular transforms.
 
-    Pivot choice is deterministic: the entry of smallest nonzero absolute
-    value in the trailing submatrix, ties broken by lowest (row, col). The
-    diagonal of d is nonnegative and satisfies d[i] | d[i+1]. Empty input is
-    allowed and yields empty factors.
+    One elimination loop works on the rows [a | u] and on n appended rows
+    holding v, with u and v starting as identities. A row operation acts on
+    a whole [a | u] row; a column operation acts on the first n columns of
+    every row, v's included. So each operation is written once and both
+    transforms follow it.
+
+    Each pass moves the entry of smallest nonzero absolute value in the
+    trailing block to the pivot position (ties go to the lowest (row, col)),
+    makes it positive and reduces its row and column by it. The pivot is
+    final once it divides every entry of the block it heads. Otherwise the
+    first row of that block with an entry the pivot does not divide, if it
+    is not the pivot row, is added to the pivot row, and the pass repeats:
+    the next pivot is a remainder smaller than this one, or this one again,
+    which then leaves such a remainder. The chain d[i] | d[i+1] therefore
+    holds when the loop ends, with no repair afterwards, and the diagonal of
+    d is nonnegative. Empty input is allowed and yields empty factors.
     """
-    work = _to_rows(a)
-    m = len(work)
-    n = len(work[0]) if m else 0
-    u = _identity(m)
+    rows = _to_rows(a)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    work = [row + unit for row, unit in zip(rows, _identity(m))]
     v = _identity(n)
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        if q:
-            wi, wj = work[i], work[j]
-            for k in range(n):
-                wi[k] -= q * wj[k]
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] -= q * uj[k]
-
-    def col_sub(j: int, i: int, q: int) -> None:
-        if q:
-            for row in work:
-                row[j] -= q * row[i]
-            for row in v:
-                row[j] -= q * row[i]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            work[i], work[j] = work[j], work[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in work:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        work[i] = [-x for x in work[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(m, n):
         best, size = None, 0
@@ -144,57 +123,35 @@ def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
                 break  # nothing later can be strictly smaller
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            if work[t][t] < 0:
-                negate_row(t)
-            p = work[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                if work[i][t]:
-                    row_sub(i, t, work[i][t] // p)
-                    if work[i][t]:
-                        # remainder is a strictly smaller pivot
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if work[t][j]:
-                    col_sub(j, t, work[t][j] // p)
-                    if work[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if not restart:
-                break
-        t += 1
-
-    # enforce the divisibility chain d[k] | d[k+1]: each fix-up replaces a
-    # pair by (gcd, lcm), which can break the pair before it, so sweep until
-    # a whole pass changes nothing
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r - 1):
-            a_, b_ = work[k][k], work[k + 1][k + 1]
-            if b_ % a_ == 0:
-                continue
-            changed = True
-            col_sub(k, k + 1, -1)  # puts b below a in column k
-            while work[k + 1][k]:
-                q = work[k][k] // work[k + 1][k]
-                row_sub(k, k + 1, q)
-                swap_rows(k, k + 1)
-            # gcd now at (k, k); the leftover in row k is a multiple of it
-            col_sub(k + 1, k, work[k][k + 1] // work[k][k])
-            if work[k + 1][k + 1] < 0:
-                negate_row(k + 1)
-
-    return SNFResult(d=_freeze(work), u=_freeze(u), v=_freeze(v))
+        i, j = best
+        work[t], work[i] = work[i], work[t]
+        for row in work + v:
+            row[t], row[j] = row[j], row[t]
+        if work[t][t] < 0:
+            work[t] = [-x for x in work[t]]
+        pivot = work[t]
+        p = pivot[t]
+        for i in range(t + 1, m):
+            q = work[i][t] // p
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], pivot)]
+        for j in range(t + 1, n):
+            q = pivot[j] // p
+            if q:
+                for row in work + v:
+                    row[j] -= q * row[t]
+        # the first row of the block with an entry p does not divide;
+        # 1 divides everything
+        bad = p > 1 and next((row for row in work[t:] if any(x % p for x in row[t:n])), None)
+        if not bad:
+            t += 1
+        elif bad is not pivot:
+            work[t] = [x + y for x, y in zip(pivot, bad)]
+    return SNFResult(
+        d=_freeze(row[:n] for row in work),
+        u=_freeze(row[n:] for row in work),
+        v=_freeze(v),
+    )
 
 
 def matrix_rank(a: Iterable[Sequence[int]]) -> int:

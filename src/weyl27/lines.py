@@ -86,18 +86,6 @@ class LineSystem:
             raise ValueError("meet() expects two distinct lines")
         return self.inter[a - 1][b - 1]
 
-    def index_of(self, cls: Sequence[int]) -> int:
-        """0-based index of a line class, or raise if it is not one."""
-        key = tuple(cls)
-        try:
-            return self._lookup()[key]
-        except KeyError:
-            raise ValueError(f"not a line class: {key}") from None
-
-    @cache
-    def _lookup(self) -> dict[Vector, int]:
-        return {cls: i for i, cls in enumerate(self.classes)}
-
 
 @cache
 def build_line_system() -> LineSystem:
@@ -121,30 +109,25 @@ def build_line_system() -> LineSystem:
     return LineSystem(classes=tuple(classes), inter=inter)
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """A lattice map given by a 7x7 integer matrix acting on row vectors."""
+def reflection_permutation(root: Sequence[int]) -> Perm:
+    """The permutation of the 27 line indices induced by a root reflection.
 
-    matrix: Matrix
-
-    def apply(self, v: Sequence[int]) -> Vector:
-        return tuple(
-            sum(v[i] * self.matrix[i][j] for i in range(RANK)) for j in range(RANK)
-        )
-
-
-def reflection(root: Sequence[int]) -> Isometry:
-    """Reflection x -> x + <x, root> * root in a norm -2 root."""
+    Each line class x goes to x + <x, root> * root. The root must have
+    self-intersection -2 and pair to 0 with the anticanonical class K, or
+    this raises ValueError. The reflection then preserves the pairing and
+    fixes K, so it maps the classes with x.x = -1 and x.K = 1, which are
+    exactly the 27 line classes, onto themselves.
+    """
     if inner_product(root, root, AMBIENT) != -2:
         raise ValueError("reflection needs a root of self-intersection -2")
-    g = AMBIENT.gram
-    rows = []
-    for i in range(RANK):
-        coeff = sum(g[i][k] * root[k] for k in range(RANK))  # <e_i, root>
-        rows.append(
-            tuple((1 if i == j else 0) + coeff * root[j] for j in range(RANK))
-        )
-    return Isometry(matrix=tuple(rows))
+    if inner_product(root, ANTICANONICAL, AMBIENT):
+        raise ValueError("reflection needs a root orthogonal to the anticanonical class")
+    classes = build_line_system().classes
+    index = {cls: i for i, cls in enumerate(classes)}
+    return tuple(
+        index[tuple(x + inner_product(cls, root, AMBIENT) * r for x, r in zip(cls, root))]
+        for cls in classes
+    )
 
 
 def verify_dynkin(roots: Sequence[Sequence[int]] = SIMPLE_ROOTS) -> bool:
@@ -169,23 +152,6 @@ def verify_dynkin(roots: Sequence[Sequence[int]] = SIMPLE_ROOTS) -> bool:
     return all(
         inner_product(r, ANTICANONICAL, AMBIENT) == 0 for r in roots
     )
-
-
-def isometry_to_permutation(iso: Isometry) -> Perm:
-    """The permutation of the 27 line indices induced by an isometry.
-
-    Raises if the isometry does not fix the anticanonical class or maps some
-    line class outside the line set.
-    """
-    ls = build_line_system()
-    if iso.apply(ANTICANONICAL) != ANTICANONICAL:
-        raise ValueError("isometry does not fix the anticanonical class")
-    images = []
-    for cls in ls.classes:
-        images.append(ls.index_of(iso.apply(cls)))
-    if len(set(images)) != LINE_COUNT:
-        raise ValueError("isometry does not permute the line classes")
-    return tuple(images)
 
 
 def cycle_notation(p: Perm) -> str:
@@ -213,7 +179,7 @@ def cycle_notation(p: Perm) -> str:
 
 def standard_generators() -> tuple[Perm, ...]:
     """Permutations of the simple-root reflections, in root order."""
-    return tuple(isometry_to_permutation(reflection(r)) for r in SIMPLE_ROOTS)
+    return tuple(reflection_permutation(r) for r in SIMPLE_ROOTS)
 
 
 class PermutationGroup:

@@ -32,7 +32,6 @@ transitive group; rev_table refuses any other.
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,7 +57,9 @@ def mask_from_lines(lines: Iterable[int]) -> int:
 
 
 def lines_of_mask(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based line numbers of a bitmask."""
+    """Sorted 1-based line numbers of a bitmask; ValueError outside 0..FULL_MASK."""
+    if not 0 <= mask <= FULL_MASK:
+        raise ValueError(f"mask out of range: {mask}")
     return tuple(i + 1 for i in _bits(mask))
 
 
@@ -145,7 +146,7 @@ def _extend_batch(
 
 
 class WorkerError(RuntimeError):
-    """A pool task raised, or a pool worker died; the message names why."""
+    """A pool cannot fork, a task raised, or a worker died; the message names why."""
 
 
 # Shared state for forked enumeration workers, set before the pool spawns.
@@ -192,8 +193,8 @@ def enumerate_all(
     One pass builds each level of minimal representatives, with their orbit
     lengths, from the level below, up to max_n lines. Workers > 1 forks one
     process pool and splits each level across it; the output is identical
-    for any worker count. An exception in a pool task, or a worker that
-    dies, raises WorkerError.
+    for any worker count. Workers > 1 without the fork start method, an
+    exception in a pool task, or a worker that dies raises WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
@@ -227,20 +228,16 @@ def enumerate_all(
 def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | None:
     """Forked pool sharing the group table, or None for in-process work.
 
-    Without the fork start method the work runs in-process, with a warning.
+    More than one worker without the fork start method raises WorkerError.
     """
     if workers <= 1:
         return None
     try:
         ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        warnings.warn(
-            f"no fork start method on this platform; running serially instead of "
-            f"with {workers} workers",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
+    except ValueError as exc:
+        raise WorkerError(
+            f"{workers} workers need the fork start method, which this platform lacks"
+        ) from exc
     global _POOL_GROUP
     group.rev_table  # build before forking so children inherit it
     _POOL_GROUP = group

@@ -70,9 +70,8 @@ def invert(p):
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
-def preserves_pairing(iso):
-    """Whether the images of the basis pair as the basis does."""
-    m = iso.matrix
+def preserves_pairing(m):
+    """Whether the rows of m, the images of the basis, pair as the basis does."""
     return all(
         inner_product(m[i], m[j], AMBIENT) == AMBIENT.gram[i][j]
         for i in range(RANK)

@@ -66,3 +66,21 @@ def test_every_public_definition_has_a_caller_in_the_package():
     ]
     assert unused == []
     assert BENCHMARK_PINNED <= {node.name for node in definitions}
+
+
+def test_every_module_level_import_is_used():
+    # the package re-exports through __init__; every other module uses
+    # each name it imports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = set(_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [f"{path.name}: {name}" for name in bound if name not in uses]
+    assert unused == []

@@ -69,14 +69,22 @@ def test_run_config_validation():
 
 def test_bad_flag_values_exit_2(capsys):
     assert run(["enumerate", "--n", "28", "--workers", "1"], capsys)[0] == 2
-    assert run(["group", "--workers", "0"], capsys)[0] == 2
+    assert run(["verify", "--workers", "0"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("command", ["group", "invariants", "export-gap"])
+def test_workers_flag_only_where_a_pool_runs(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--workers", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- group
 
 
 def test_group_text_output(capsys):
-    code, out, _ = run(["group", "--workers", "1"], capsys)
+    code, out, _ = run(["group"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "order: 51840"
@@ -87,7 +95,7 @@ def test_group_text_output(capsys):
 
 
 def test_group_json_output(capsys):
-    code, out, _ = run(["group", "--format", "json", "--workers", "1"], capsys)
+    code, out, _ = run(["group", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == 51840
@@ -97,7 +105,7 @@ def test_group_json_output(capsys):
 
 
 def test_group_csv_output(capsys):
-    code, out, _ = run(["group", "--format", "csv", "--workers", "1"], capsys)
+    code, out, _ = run(["group", "--format", "csv"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "field,value"
@@ -109,7 +117,7 @@ def test_group_corrupt_root_fails(monkeypatch, capsys):
     roots = list(cli.SIMPLE_ROOTS)
     roots[1], roots[2] = roots[2], roots[1]
     monkeypatch.setattr(cli, "SIMPLE_ROOTS", tuple(roots))
-    code, out, _ = run(["group", "--workers", "1"], capsys)
+    code, out, _ = run(["group"], capsys)
     assert code == 1
     assert "dynkin: FAIL" in out
     assert "match: FAIL" in out
@@ -119,7 +127,7 @@ def test_group_corrupt_root_fails(monkeypatch, capsys):
 
 def test_group_output_file(tmp_path, capsys):
     target = tmp_path / "group.txt"
-    code, out, _ = run(["group", "--output", str(target), "--workers", "1"], capsys)
+    code, out, _ = run(["group", "--output", str(target)], capsys)
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "order: 51840"
@@ -148,14 +156,14 @@ def test_output_is_replaced_atomically(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "open", lambda *a, **kw: FailsPartway(real_open(*a, **kw)), raising=False
     )
-    code, out, err = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    code, out, err = run(["export-gap", "--output", str(target)], capsys)
     assert code == 1
     assert "No space left on device" in err
     assert target.read_text() == "old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
 
     monkeypatch.undo()
-    code, out, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    code, out, _ = run(["export-gap", "--output", str(target)], capsys)
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines() == EXPECTED_CYCLES
@@ -166,7 +174,7 @@ def test_output_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
     target = tmp_path / "gens.txt"
     target.write_text("old contents\n")
     target.chmod(0o600)
-    code, _, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    code, _, _ = run(["export-gap", "--output", str(target)], capsys)
     assert code == 0
     assert target.read_text().splitlines() == EXPECTED_CYCLES
     assert target.stat().st_mode & 0o777 == 0o600
@@ -178,7 +186,7 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    code, out, _ = run(["export-gap", "--output", str(fifo), "--workers", "1"], capsys)
+    code, out, _ = run(["export-gap", "--output", str(fifo)], capsys)
     reader.join(timeout=30)
     assert code == 0
     assert out == ""
@@ -198,14 +206,14 @@ def test_output_in_a_directory_without_room_for_a_temp_file(tmp_path, monkeypatc
         return real_open(path, mode, **kw)
 
     monkeypatch.setattr(cli, "open", no_new_files, raising=False)
-    code, _, _ = run(["export-gap", "--output", str(target), "--workers", "1"], capsys)
+    code, _, _ = run(["export-gap", "--output", str(target)], capsys)
     assert code == 0
     assert target.read_text().splitlines() == EXPECTED_CYCLES
     assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
 
 
 def test_group_fails_against_other_expectations(wrong_expectations, capsys):
-    code, out, _ = run(["group", "--workers", "1"], capsys)
+    code, out, _ = run(["group"], capsys)
     assert code == 1
     assert "order: 51840" in out
     assert out.splitlines()[-1] == "match: FAIL"
@@ -270,7 +278,7 @@ def test_malformed_expectations_exit_1_with_one_error_line(
 
     monkeypatch.setattr(cli, "build_context", no_pipeline)
     monkeypatch.setattr(checks, "build_context", no_pipeline)
-    code, out, err = run([command, "--workers", "1"], capsys)
+    code, out, err = run([command], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {path}: ")
@@ -280,7 +288,7 @@ def test_malformed_expectations_exit_1_with_one_error_line(
 
 def test_missing_expectations_file_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WEYL27_EXPECTATIONS", str(tmp_path / "absent.json"))
-    code, out, err = run(["group", "--workers", "1"], capsys)
+    code, out, err = run(["group"], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -367,13 +375,29 @@ def test_worker_exception_fails_loudly(monkeypatch, capfd):
     assert err == "error: a pool worker failed: MemoryError\n"  # one line, no traceback
 
 
+def _no_fork(method=None):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
+def test_workers_without_fork_fail_loudly(monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code, out, err = run(["enumerate", "--n", "3", "--workers", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: 2 workers need the fork start method, which this platform lacks\n"
+    # without fork the default is one worker, so a bare command still runs
+    assert cli._default_workers() == 1
+    code, out, err = run(["enumerate", "--n", "3"], capsys)
+    assert code == 0
+    assert out.endswith("total 8\n") and err == ""
+
+
 # --------------------------------------------------------------- invariants
 
 
 def test_invariants_text(capsys):
-    code, out, _ = run(
-        ["invariants", "1", "2", "3", "4", "5", "--workers", "1"], capsys
-    )
+    code, out, _ = run(["invariants", "1", "2", "3", "4", "5"], capsys)
     assert code == 0
     assert out == (
         "lines: [1,2,3,4,5]\n"
@@ -386,7 +410,7 @@ def test_invariants_text(capsys):
 
 
 def test_invariants_empty(capsys):
-    code, out, _ = run(["invariants", "--format", "json", "--workers", "1"], capsys)
+    code, out, _ = run(["invariants", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["lines"] == []
@@ -397,7 +421,7 @@ def test_invariants_empty(capsys):
 
 def test_invariants_csv(capsys):
     code, out, _ = run(
-        ["invariants", "1", "2", "3", "4", "21", "26", "--format", "csv", "--workers", "1"],
+        ["invariants", "1", "2", "3", "4", "21", "26", "--format", "csv"],
         capsys,
     )
     assert code == 0
@@ -408,10 +432,10 @@ def test_invariants_csv(capsys):
 
 
 def test_invariants_rejects_bad_lines(capsys):
-    code, _, err = run(["invariants", "28", "--workers", "1"], capsys)
+    code, _, err = run(["invariants", "28"], capsys)
     assert code == 2
     assert err.startswith("error:")
-    code, _, err = run(["invariants", "3", "3", "--workers", "1"], capsys)
+    code, _, err = run(["invariants", "3", "3"], capsys)
     assert code == 2
     assert err.startswith("error:")
 
@@ -420,7 +444,7 @@ def test_invariants_rejects_bad_lines(capsys):
 
 
 def test_export_gap(capsys):
-    code, out, _ = run(["export-gap", "--workers", "1"], capsys)
+    code, out, _ = run(["export-gap"], capsys)
     assert code == 0
     assert out.splitlines() == EXPECTED_CYCLES
 

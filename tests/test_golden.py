@@ -38,7 +38,7 @@ COMMANDS = {
 }
 CASES = {
     f"{name}-{fmt}{'-output' if to_file else ''}": (
-        [*argv, "--format", fmt, "--workers", "1"],
+        [*argv, "--format", fmt, *(["--workers", "1"] if argv[0] in cli.POOLED else [])],
         to_file,
     )
     for name, argv in COMMANDS.items()

@@ -172,11 +172,13 @@ def test_smith_divisors_match_determinantal_divisors():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = random_matrix(rng, rows, cols)
         assert smith_normal_form(a).divisors() == determinantal_divisors(a)
-    # diagonal inputs are where the chain needs the most repair
+    # diagonal inputs are where the chain needs the most repair; padded
+    # with a zero row or a zero column they are not square
     for _ in range(200):
         a = diagonal(*(rng.randint(0, 36) for _ in range(rng.randint(1, 4))))
-        assert smith_normal_form(a).divisors() == determinantal_divisors(a)
-        check_smith_structure(a, len(a), len(a))
+        for padded in (a, a + [[0] * len(a)], [row + [0] for row in a]):
+            assert smith_normal_form(padded).divisors() == determinantal_divisors(padded)
+            check_smith_structure(padded, len(padded), len(padded[0]))
 
 
 def test_elementary_divisors_and_rank():

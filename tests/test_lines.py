@@ -12,12 +12,10 @@ from weyl27.lines import (
     ANTICANONICAL,
     LINE_COUNT,
     SIMPLE_ROOTS,
-    Isometry,
     build_line_system,
     cycle_notation,
     generate_group,
-    isometry_to_permutation,
-    reflection,
+    reflection_permutation,
     standard_generators,
     verify_dynkin,
     weyl_group,
@@ -81,40 +79,45 @@ def test_line_lookup_errors():
         line_class(28)
     with pytest.raises(ValueError):
         ls.meet(5, 5)
-    with pytest.raises(ValueError):
-        ls.index_of((1, 1, 1, 1, 1, 1, 1))
-    assert ls.index_of((0, 1, 0, 0, 0, 0, 0)) == 0
 
 
 # -------------------------------------------------------------- reflections
 
 
+def reflection_matrix(root):
+    """The 7x7 matrix of x -> x + <x, root> * root acting on row vectors."""
+    gram = np.array(AMBIENT.gram)
+    r = np.array(root)
+    return np.eye(AMBIENT.rank, dtype=np.int64) + np.outer(gram @ r, r)
+
+
 def test_reflection_fixes_pairing_and_squares_to_identity():
-    n = AMBIENT.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    classes = np.array(build_line_system().classes)
     for root in SIMPLE_ROOTS:
-        iso = reflection(root)
-        assert preserves_pairing(iso)
-        assert iso.apply(root) == tuple(-x for x in root)
-        assert iso.apply(ANTICANONICAL) == ANTICANONICAL
-        square = tuple(iso.apply(row) for row in iso.matrix)
-        assert square == ident
+        m = reflection_matrix(root)
+        assert preserves_pairing(m.tolist())
+        assert (np.array(root) @ m == -np.array(root)).all()
+        assert (np.array(ANTICANONICAL) @ m == ANTICANONICAL).all()
+        assert (m @ m == np.eye(AMBIENT.rank)).all()
+        # the permutation is the matrix's action on the line classes
+        perm = reflection_permutation(root)
+        assert (classes @ m == classes[list(perm)]).all()
+        assert compose(perm, perm) == tuple(range(LINE_COUNT))
 
 
 def test_reflection_rejects_non_roots():
-    with pytest.raises(ValueError):
-        reflection((0, 1, 0, 0, 0, 0, 0))  # norm -1
-    with pytest.raises(ValueError):
-        reflection((1, 0, 0, 0, 0, 0, 0))  # norm +1
-    with pytest.raises(ValueError):
-        reflection((0, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="-2"):
+        reflection_permutation((0, 1, 0, 0, 0, 0, 0))  # norm -1
+    with pytest.raises(ValueError, match="-2"):
+        reflection_permutation((1, 0, 0, 0, 0, 0, 0))  # norm +1
+    with pytest.raises(ValueError, match="-2"):
+        reflection_permutation((0, 0, 0, 0, 0, 0, 0))
 
 
 def test_reflection_swaps_adjacent_basis_vectors():
-    # the root e1 - e2 exchanges e1 and e2
-    iso = reflection((0, 1, -1, 0, 0, 0, 0))
-    assert iso.apply((0, 1, 0, 0, 0, 0, 0)) == (0, 0, 1, 0, 0, 0, 0)
-    assert iso.apply((0, 0, 1, 0, 0, 0, 0)) == (0, 1, 0, 0, 0, 0, 0)
+    # the root e1 - e2 exchanges e1 and e2, which are lines 1 and 2
+    perm = reflection_permutation((0, 1, -1, 0, 0, 0, 0))
+    assert perm[0] == 1 and perm[1] == 0
 
 
 def test_verify_dynkin():
@@ -130,15 +133,13 @@ def test_verify_dynkin():
 # ------------------------------------------------------------- permutations
 
 
-def test_isometry_to_permutation_identity():
-    ident = Isometry(tuple(tuple(1 if i == j else 0 for j in range(7)) for i in range(7)))
-    assert isometry_to_permutation(ident) == tuple(range(27))
-
-
-def test_isometry_to_permutation_rejects_negation():
-    neg = Isometry(tuple(tuple(-1 if i == j else 0 for j in range(7)) for i in range(7)))
-    with pytest.raises(ValueError):
-        isometry_to_permutation(neg)
+def test_reflection_permutation_rejects_roots_moving_the_canonical_class():
+    # e1 + e2 has norm -2 but pairs to 2 with K, so its reflection moves K
+    # and sends line 1 to -e2, which is no line class
+    with pytest.raises(ValueError, match="anticanonical"):
+        reflection_permutation((0, 1, 1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="anticanonical"):
+        reflection_permutation((1, 1, 1, 1, 0, 0, 0))
 
 
 def test_standard_generator_cycles():
@@ -280,6 +281,7 @@ def test_every_element_pulls_back_to_an_isometry_fixing_the_canonical_class():
 
 
 def test_sampled_elements_pull_back_to_isometries():
+    ls = build_line_system()
     group = weyl_group()
     rng = random.Random(418)
     for _ in range(20):
@@ -289,6 +291,7 @@ def test_sampled_elements_pull_back_to_isometries():
         c2 = line_class(perm[1] + 1)
         h_img = tuple(a + b + d for a, b, d in zip(c7, c1, c2))
         rows = [h_img] + [line_class(perm[i] + 1) for i in range(6)]
-        iso = Isometry(tuple(rows))
-        assert preserves_pairing(iso)
-        assert isometry_to_permutation(iso) == perm
+        assert preserves_pairing(rows)
+        # the isometry with these basis images moves every line as perm does
+        images = np.array(ls.classes) @ np.array(rows)
+        assert (images == np.array(ls.classes)[list(perm)]).all()

@@ -18,10 +18,12 @@ from oracles import (
     rev_key,
 )
 from weyl27.expectations import load_expectations
+from weyl27.invariants import invariant_report
 from weyl27.lines import standard_generators, weyl_group
 from weyl27.orbits import (
     FULL_MASK,
     OrbitRecord,
+    WorkerError,
     _extend_batch,
     enumerate_all,
     lines_of_mask,
@@ -62,6 +64,16 @@ def test_mask_from_lines_rejects_bad_input():
         mask_from_lines([28])
     with pytest.raises(ValueError):
         mask_from_lines([3, 3])
+
+
+def test_lines_of_mask_rejects_masks_out_of_range():
+    # -1 used to recurse without end, 1 << 40 read as line 41, and
+    # invariant_report(1 << 30) indexed past the 27 pairing rows
+    for mask in (-1, FULL_MASK + 1, 1 << 30, 1 << 40):
+        with pytest.raises(ValueError, match="mask out of range"):
+            lines_of_mask(mask)
+        with pytest.raises(ValueError, match="mask out of range"):
+            invariant_report(mask)
 
 
 def test_apply_perm():
@@ -285,7 +297,7 @@ def test_enumerate_all_worker_determinism():
     ]
 
 
-def test_enumerate_all_warns_without_fork(monkeypatch):
+def test_enumerate_all_raises_without_fork(monkeypatch):
     group = weyl_group()
     serial = enumerate_all(group, max_n=5, workers=1)
 
@@ -293,9 +305,9 @@ def test_enumerate_all_warns_without_fork(monkeypatch):
         raise ValueError(f"cannot find context for {method!r}")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    with pytest.warns(RuntimeWarning, match="serially"):
-        fallback = enumerate_all(group, max_n=5, workers=2)
-    assert fallback == serial
+    with pytest.raises(WorkerError, match="2 workers need the fork start method"):
+        enumerate_all(group, max_n=5, workers=2)
+    assert enumerate_all(group, max_n=5, workers=1) == serial  # one worker needs no pool
 
 
 def test_enumerated_orbit_sizes_match_rescan(ctx):
