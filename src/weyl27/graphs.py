@@ -23,14 +23,13 @@ never splits anything. Graphs here have at most 27 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
-from operator import lshift, ne
+from operator import ne
 from typing import Sequence
 
 from . import invariants as _invariants
 from .lines import LINE_COUNT, build_line_system
-from .orbits import OrbitRecord, _bits
+from .orbits import OrbitRecord, _bits, _checked_bits
 
 
 @dataclass(frozen=True)
@@ -44,47 +43,14 @@ class IntersectionGraph:
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        if not adj:
-            return
-        if min(adj) < 0 or max(adj) >> n:
+        if adj and (min(adj) < 0 or max(adj) >> n):
             raise ValueError("adjacency bits out of range")
-        # Row v at bits [w*v, w*v + n) of one integer, as a w x w bit matrix.
-        w, diagonal, swaps = _matrix_layout(n)
-        matrix = sum(map(lshift, adj, range(0, w * n, w)))
-        if matrix & diagonal:
+        if any(row >> v & 1 for v, row in enumerate(adj)):
             raise ValueError("no loops allowed")
-        transposed = matrix
-        for shift, mask in swaps:
-            t = ((transposed >> shift) ^ transposed) & mask
-            transposed ^= t | (t << shift)
-        if transposed != matrix:
-            raise ValueError("adjacency must be symmetric")
-
-
-@cache
-def _matrix_layout(n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """Row stride w (a power of two >= n), the diagonal mask of n rows, and
-    the block swaps that transpose a w x w bit matrix.
-
-    Swap s exchanges, within every 2s x 2s block, the s x s block right of
-    the diagonal with the one below it: bit (r, c) with r & s == 0 and
-    c & s != 0 trades places with bit (r + s, c - s), s * (w - 1) higher.
-    Doing it for s = w/2, ..., 1 transposes the whole matrix.
-    """
-    w = 1 << (n - 1).bit_length()
-    diagonal = sum(1 << (w + 1) * v for v in range(n))
-    swaps = []
-    s = w >> 1
-    while s:
-        mask = 0
-        for r in range(w):
-            if not r & s:
-                for c in range(w):
-                    if c & s:
-                        mask |= 1 << (r * w + c)
-        swaps.append((s * (w - 1), mask))
-        s >>= 1
-    return w, diagonal, tuple(swaps)
+        for v, row in enumerate(adj):
+            for w in _bits(row):
+                if not adj[w] >> v & 1:
+                    raise ValueError("adjacency must be symmetric")
 
 
 def intersection_graph(mask: int) -> IntersectionGraph:
@@ -92,9 +58,10 @@ def intersection_graph(mask: int) -> IntersectionGraph:
 
     Vertex k is the k-th line of the arrangement in increasing number order.
     Row k is that line's neighbour mask cut to the arrangement, with each
-    line's bit moved to the line's vertex number.
+    line's bit moved to the line's vertex number. A mask outside
+    0..2**27 - 1 raises ValueError.
     """
-    lines = _bits(mask)
+    lines = _checked_bits(mask, LINE_COUNT)
     rank = dict(zip(lines, _POWERS)).__getitem__
     neighbours = build_line_system().neighbour_masks
     adj = tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
@@ -127,61 +94,49 @@ def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
     also stops once every cell is a single vertex. Neither shortcut changes
     the partitions produced.
 
-    A splitter of one vertex w splits cell c into c minus N(w), then
-    c & N(w). A larger splitter first adds up the neighbour masks of its
-    vertices as bit-sliced counters, so plane j holds the vertices whose
-    count has bit j set; a cell splits when some plane cuts it, into the
-    level sets of the count in increasing order.
+    A splitter first adds up the neighbour masks of its vertices as
+    bit-sliced counters, so plane j holds the vertices whose count has bit j
+    set; a cell splits when some plane cuts it, into the level sets of the
+    count in increasing order. A splitter of one vertex w has the single
+    plane N(w), and splits cell c into c minus N(w), then c & N(w).
     """
     n = len(adj)
     pending: list[int] = []
     applied = 0  # pending[:applied] have been applied
     while True:
+        members = _bits(splitter)
+        planes = [adj[members[0]]]
+        for w in members[1:]:
+            carry = adj[w]
+            j = 0
+            for plane in planes:
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+                j += 1
+            else:
+                planes.append(carry)
         splits = []
-        if splitter & (splitter - 1):
-            members = _bits(splitter)
-            planes = [adj[members[0]]]
-            for w in members[1:]:
-                carry = adj[w]
-                j = 0
+        for i, c in enumerate(cells):
+            if c & (c - 1):
                 for plane in planes:
-                    planes[j] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                    j += 1
-                else:
-                    planes.append(carry)
-            i = -1
-            for c in cells:
-                i += 1
-                if c & (c - 1):
-                    for plane in planes:
-                        x = c & plane
-                        if x and x != c:
-                            break
-                    else:
-                        continue
-                    parts = [c]
-                    for plane in reversed(planes):
-                        finer = []
-                        for part in parts:
-                            high = part & plane
-                            if high != part:
-                                finer.append(part ^ high)
-                            if high:
-                                finer.append(high)
-                        parts = finer
-                    splits.append((i, parts))
-        else:
-            row = adj[splitter.bit_length() - 1]
-            i = -1
-            for c in cells:
-                i += 1
-                if c & (c - 1):
-                    x = c & row
+                    x = c & plane
                     if x and x != c:
-                        splits.append((i, (c ^ x, x)))
+                        break
+                else:
+                    continue
+                parts = [c]
+                for plane in reversed(planes):
+                    finer = []
+                    for part in parts:
+                        high = part & plane
+                        if high != part:
+                            finer.append(part ^ high)
+                        if high:
+                            finer.append(high)
+                    parts = finer
+                splits.append((i, parts))
         if splits:
             for i, parts in reversed(splits):
                 cells[i : i + 1] = parts
@@ -195,63 +150,61 @@ def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
         applied += 1
 
 
-def _canonical_leaf(adj: Sequence[int]) -> list[int]:
+def _canonical_leaf(adj: Sequence[int]) -> tuple[list[int], int]:
     """A discrete partition (singleton masks in order) whose adjacency
-    string is the least over the search tree.
+    string is the least over the search tree, and that string.
 
-    A leaf whose string equals the best one differs from it by the
-    automorphism that maps the best leaf's vertex at each position to this
-    leaf's. That is checked on the moved vertices only, and the search then
-    returns to the node where the two leaves' paths part: the automorphism
-    fixes that node's prefix and maps the explored subtree holding the best
-    leaf onto the current one. Every automorphism found fixes the prefix of
-    each node still open, so a node filters its parent's list once, by the
-    vertices it fixes, and adds the automorphisms found below it.
+    A leaf's string is computed once, and only when the leaf is not an
+    automorphic image of the best one. A leaf whose string equals the best one differs from it by
+    the automorphism that maps the best leaf's vertex at each position to
+    this leaf's. That is checked on the moved vertices only, and the search
+    then returns to the node where the two leaves' paths part: the
+    automorphism fixes that node's prefix and maps the explored subtree
+    holding the best leaf onto the current one. Every automorphism found
+    fixes the prefix of each node still open, so a node filters its
+    parent's list once, by the vertices it fixes, and adds the automorphisms
+    found below it.
     """
     n = len(adj)
     if n == 0:
-        return []
+        return [], 0
     path: list[int] = []  # vertices individualized on the way down
     best_cells: list[int] = []
-    best_string: int | None = None  # computed when first needed
+    best_string = 1 << n * (n - 1) // 2  # above every string
     best_path: list[int] = []
     autos: list[tuple[list[int], int]] = []  # (permutation, moved mask)
 
     def leaf(cells: list[int]) -> int:
         nonlocal best_cells, best_string, best_path
-        if not best_cells:
-            best_cells, best_path = cells, path[:]
-            return len(path)
-        diff = list(compress(range(n), map(ne, cells, best_cells)))
-        moved = 0
-        image = {}
-        for k in diff:
-            moved |= best_cells[k]
-            image[best_cells[k]] = cells[k]
-        for k in diff:
-            row = adj[best_cells[k].bit_length() - 1]
-            target = adj[cells[k].bit_length() - 1]
-            if (row ^ target) & ~moved:
-                break
-            m = row & moved
-            mapped = 0
-            while m:
-                low = m & -m
-                mapped |= image[low]
-                m ^= low
-            if mapped != target & moved:
-                break
-        else:
-            perm = list(range(n))
+        if best_cells:
+            diff = list(compress(range(n), map(ne, cells, best_cells)))
+            moved = 0
+            image = {}
             for k in diff:
-                perm[best_cells[k].bit_length() - 1] = cells[k].bit_length() - 1
-            autos.append((perm, moved))
-            j = 0
-            while path[j] == best_path[j]:
-                j += 1
-            return j
-        if best_string is None:
-            best_string = _adjacency_string(adj, best_cells)
+                moved |= best_cells[k]
+                image[best_cells[k]] = cells[k]
+            for k in diff:
+                row = adj[best_cells[k].bit_length() - 1]
+                target = adj[cells[k].bit_length() - 1]
+                if (row ^ target) & ~moved:
+                    break
+                m = row & moved
+                mapped = 0
+                while m:
+                    low = m & -m
+                    mapped |= image[low]
+                    m ^= low
+                if mapped != target & moved:
+                    break
+            else:
+                perm = list(range(n))
+                for k in diff:
+                    perm[best_cells[k].bit_length() - 1] = cells[k].bit_length() - 1
+                autos.append((perm, moved))
+                j = 0
+                while path[j] == best_path[j]:
+                    j += 1
+                return j
         string = _adjacency_string(adj, cells)
         if string < best_string:
             best_cells, best_string, best_path = cells, string, path[:]
@@ -299,7 +252,7 @@ def _canonical_leaf(adj: Sequence[int]) -> list[int]:
 
     full = (1 << n) - 1
     search(_refine(adj, [full], full), 0, [])
-    return best_cells
+    return best_cells, best_string
 
 
 def _adjacency_string(adj: Sequence[int], cells: Sequence[int]) -> int:
@@ -327,7 +280,7 @@ def canonical_certificate(g: IntersectionGraph) -> str:
     n = g.n
     bits = n * (n - 1) // 2
     size = (bits + 7) // 8
-    string = _adjacency_string(g.adj, _canonical_leaf(g.adj))
+    _, string = _canonical_leaf(g.adj)
     return f"{n}:{(string << (8 * size - bits)).to_bytes(size, 'big').hex()}"
 
 

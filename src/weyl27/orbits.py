@@ -58,9 +58,7 @@ def mask_from_lines(lines: Iterable[int]) -> int:
 
 def lines_of_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based line numbers of a bitmask; ValueError outside 0..FULL_MASK."""
-    if not 0 <= mask <= FULL_MASK:
-        raise ValueError(f"mask out of range: {mask}")
-    return tuple(i + 1 for i in _bits(mask))
+    return tuple(i + 1 for i in _checked_bits(mask, LINE_COUNT))
 
 
 # _BYTE_BITS[k][b] lists the bits 8k + i of the set bits i of byte b.
@@ -78,6 +76,13 @@ def _bits(mask: int) -> tuple[int, ...]:
     return t0[mask & 255] + t1[mask >> 8 & 255] + t2[mask >> 16 & 255] + t3[mask >> 24]
 
 
+def _checked_bits(mask: int, degree: int) -> tuple[int, ...]:
+    """_bits of a mask of points 0..degree - 1; ValueError for any other."""
+    if mask < 0 or mask >> degree:
+        raise ValueError(f"mask out of range: {mask}")
+    return _bits(mask)
+
+
 def _unrev(key: int, degree: int) -> int:
     mask = 0
     for j in _bits(key):
@@ -86,7 +91,7 @@ def _unrev(key: int, degree: int) -> int:
 
 
 def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
-    return group.rev_table[:, _bits(mask)].sum(axis=1)
+    return group.rev_table[:, _checked_bits(mask, group.degree)].sum(axis=1)
 
 
 def orbit_size(mask: int, group: PermutationGroup) -> int:
@@ -149,21 +154,17 @@ class WorkerError(RuntimeError):
     """A pool cannot fork, a task raised, or a worker died; the message names why."""
 
 
-# Shared state for forked enumeration workers, set before the pool spawns.
-_POOL_GROUP: PermutationGroup | None = None
+# (rev_table, degree) in a pool worker, set by _pool_init; None in the parent.
+_worker_table: tuple[np.ndarray, int] | None = None
 
 
-def _pool_extend(chunk: Sequence[int]) -> list[tuple[int, int]]:
-    group = _POOL_GROUP
-    assert group is not None
-    return _extend_batch(chunk, group.rev_table, group.degree)
+def _pool_init(tbl: np.ndarray, degree: int) -> None:
+    global _worker_table
+    _worker_table = tbl, degree
 
 
-def _chunks(items: Sequence, pieces: int) -> list[Sequence]:
-    if pieces <= 1 or len(items) <= 1:
-        return [items] if len(items) else []
-    size = -(-len(items) // pieces)
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _pool_extend(parents: Sequence[int]) -> list[tuple[int, int]]:
+    return _extend_batch(parents, *_worker_table)
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,10 @@ def enumerate_all(
 
     One pass builds each level of minimal representatives, with their orbit
     lengths, from the level below, up to max_n lines. Workers > 1 forks one
-    process pool and splits each level across it; the output is identical
-    for any worker count. Workers > 1 without the fork start method, an
-    exception in a pool task, or a worker that dies raises WorkerError.
+    process pool and maps each level over it as that many contiguous slices
+    of the parents, in order, so the output is identical for any worker
+    count. Workers > 1 without the fork start method, an exception in a pool
+    task, or a worker that dies raises WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
@@ -206,11 +208,13 @@ def enumerate_all(
     pool = _start_pool(group, workers)
     try:
         for _ in range(limit - 1):
-            if pool is None or len(parents) < 2 * workers:
+            if pool is None:
                 children = _extend_batch(parents, tbl, group.degree)
             else:
+                size = -(-len(parents) // workers)
+                slices = [parents[i : i + size] for i in range(0, len(parents), size)]
                 try:
-                    parts = list(pool.map(_pool_extend, _chunks(parents, workers)))
+                    parts = list(pool.map(_pool_extend, slices))
                 except Exception as exc:  # a task raised, or a worker died
                     detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
                     raise WorkerError(f"a pool worker failed: {detail}") from exc
@@ -226,9 +230,9 @@ def enumerate_all(
 
 
 def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | None:
-    """Forked pool sharing the group table, or None for in-process work.
-
-    More than one worker without the fork start method raises WorkerError.
+    """Forked pool whose workers take the group table from their
+    initializer, inherited under fork rather than pickled; None for
+    in-process work. More than one worker without fork raises WorkerError.
     """
     if workers <= 1:
         return None
@@ -238,7 +242,9 @@ def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | 
         raise WorkerError(
             f"{workers} workers need the fork start method, which this platform lacks"
         ) from exc
-    global _POOL_GROUP
-    group.rev_table  # build before forking so children inherit it
-    _POOL_GROUP = group
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=ctx,
+        initializer=_pool_init,
+        initargs=(group.rev_table, group.degree),
+    )

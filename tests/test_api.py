@@ -1,5 +1,5 @@
-"""The package API: the README's top-level names, and no public definition
-that the package itself never uses."""
+"""The package API: the README's top-level names, and no definition that
+the package itself never uses."""
 
 import ast
 import re
@@ -44,9 +44,10 @@ def _names(node):
             yield n.attr
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
-    # a public function, class or method that nothing else in src/ refers
-    # to is test-only: it belongs in tests/oracles.py, or nowhere
+def test_every_definition_has_a_caller_in_the_package():
+    # a module-level function or class, private or public, or a public
+    # method that nothing else in src/ refers to is test-only or dead: it
+    # belongs in tests/oracles.py, or nowhere
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
     definitions = []
     for tree in trees:
@@ -54,13 +55,16 @@ def test_every_public_definition_has_a_caller_in_the_package():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions.append(node)
             if isinstance(node, ast.ClassDef):
-                definitions += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                definitions += [
+                    n
+                    for n in node.body
+                    if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+                ]
     uses = Counter(name for tree in trees for name in _names(tree))
     unused = [
         node.name
         for node in definitions
-        if not node.name.startswith("_")
-        and node.name not in weyl27.__all__
+        if node.name not in weyl27.__all__
         and node.name not in BENCHMARK_PINNED
         and uses[node.name] == Counter(_names(node))[node.name]
     ]

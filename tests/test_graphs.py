@@ -39,7 +39,8 @@ def brute_certificate(g):
 
 def canonical_order(g):
     """Vertex order of the leaf whose adjacency string is the certificate."""
-    return [c.bit_length() - 1 for c in graphs._canonical_leaf(g.adj)]
+    cells, _ = graphs._canonical_leaf(g.adj)
+    return [c.bit_length() - 1 for c in cells]
 
 
 def random_graph(rng, n, p=0.5):
@@ -268,11 +269,16 @@ def test_members_of_one_orbit_share_a_certificate(ctx):
 # ------------------------------------------------- refinement and invariance
 
 
-def test_canonical_order_realizes_the_certificate():
+def test_canonical_order_realizes_the_certificate(ctx):
     rng = random.Random(426)
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5, 0.8]))
         assert canonical_certificate(g) == f"{g.n}:{packed_hex(g.adj, canonical_order(g))}"
+    # the string the search keeps for its leaf is the one that leaf spells
+    for rec in ctx.records:
+        adj = intersection_graph(rec.mask).adj
+        cells, string = graphs._canonical_leaf(adj)
+        assert string == graphs._adjacency_string(adj, cells)
 
 
 def _is_equitable(adj, cells):

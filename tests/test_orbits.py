@@ -17,7 +17,9 @@ from oracles import (
     minimal_representative,
     rev_key,
 )
+from weyl27 import orbits
 from weyl27.expectations import load_expectations
+from weyl27.graphs import intersection_graph
 from weyl27.invariants import invariant_report
 from weyl27.lines import standard_generators, weyl_group
 from weyl27.orbits import (
@@ -68,12 +70,19 @@ def test_mask_from_lines_rejects_bad_input():
 
 def test_lines_of_mask_rejects_masks_out_of_range():
     # -1 used to recurse without end, 1 << 40 read as line 41, and
-    # invariant_report(1 << 30) indexed past the 27 pairing rows
+    # invariant_report(1 << 30), orbit_size(1 << 30, group) and the like
+    # indexed past the 27 lines
+    group = weyl_group()
     for mask in (-1, FULL_MASK + 1, 1 << 30, 1 << 40):
-        with pytest.raises(ValueError, match="mask out of range"):
-            lines_of_mask(mask)
-        with pytest.raises(ValueError, match="mask out of range"):
-            invariant_report(mask)
+        for call in (
+            lambda: lines_of_mask(mask),
+            lambda: invariant_report(mask),
+            lambda: intersection_graph(mask),
+            lambda: orbit_size(mask, group),
+            lambda: orbit_masks(mask, group),
+        ):
+            with pytest.raises(ValueError, match="mask out of range"):
+                call()
 
 
 def test_apply_perm():
@@ -295,6 +304,10 @@ def test_enumerate_all_worker_determinism():
     assert [(r.mask, r.orbit_size) for r in serial] == [
         (r.mask, r.orbit_size) for r in forked
     ]
+    # the workers got the table from their initializer: the parent keeps
+    # neither the group nor its table in module state
+    tbl = group.rev_table
+    assert not [name for name, v in vars(orbits).items() if v is group or v is tbl]
 
 
 def test_enumerate_all_raises_without_fork(monkeypatch):
