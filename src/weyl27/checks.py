@@ -29,7 +29,7 @@ from .graphs import (
     find_zariski_pairs,
     intersection_graph,
 )
-from .invariants import invariant_report
+from .invariants import invariant_report, invariant_reports
 from .lines import (
     LINE_COUNT,
     LineSystem,
@@ -101,7 +101,7 @@ def build_context(workers: int) -> PipelineContext:
     enum_seconds = time.perf_counter() - t0
 
     certificates = [canonical_certificate(intersection_graph(r.mask)) for r in records]
-    reports = [invariant_report(r.mask) for r in records]
+    reports = invariant_reports(records)
     return PipelineContext(
         ls=ls,
         group=group,

@@ -55,17 +55,25 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        cores = _core_count()
+        if self.workers > cores:
+            raise ValueError(f"workers must be at most {cores}, the available cores")
         if self.n_filter is not None and not 0 <= self.n_filter <= 27:
             raise ValueError("n must be between 0 and 27")
         mask_from_lines(self.lines)  # raises on a bad or repeated line number
+
+
+def _core_count() -> int:
+    """Cores this process may use: the ceiling on --workers."""
+    counter = getattr(os, "process_cpu_count", None) or os.cpu_count
+    return counter() or 1
 
 
 def _default_workers() -> int:
     """Every available core, or 1 where the pool cannot fork."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    counter = getattr(os, "process_cpu_count", None) or os.cpu_count
-    return counter() or 1
+    return _core_count()
 
 
 def _emit(text: str, cfg: RunConfig) -> None:

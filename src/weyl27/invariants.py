@@ -14,6 +14,7 @@ Both are constant on group orbits because the group acts by isometries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .lattice import (
     Matrix,
@@ -23,7 +24,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .lines import AMBIENT, RANK, build_line_system
-from .orbits import lines_of_mask
+from .orbits import OrbitRecord, lines_of_mask
 
 
 @dataclass(frozen=True)
@@ -90,3 +91,31 @@ def invariant_report(mask: int) -> InvariantReport:
         h1_torsion=tuple(d for d in divisors if d > 1),
         h1_free_rank=len(lines) - rank,
     )
+
+
+def invariant_reports(records: Iterable[OrbitRecord]) -> list[InvariantReport]:
+    """invariant_report of each record's arrangement, in order, with no
+    normal form below a full-span record.
+
+    A record's enumeration parent is its arrangement less its highest line.
+    Call the parent full-span when its span rank is 7 and it has no
+    torsion: its restriction matrix then has 7 x 7 minors of gcd 1, and a
+    further row keeps them. So the child also has rank 7, no torsion and a
+    rank-0 (even) complement; only its free rank |S| - 7 is new. Parents
+    are looked up among the full-span records seen so far (enumeration
+    order puts parents first); any other record gets the full report.
+    """
+    full_span: set[int] = set()
+    reports = []
+    for record in records:
+        mask = record.mask
+        parent = mask & ~(1 << (mask.bit_length() - 1)) if mask else None
+        if parent in full_span:
+            lines = lines_of_mask(mask)
+            report = InvariantReport(lines, RANK, 0, "even", (), len(lines) - RANK)
+        else:
+            report = invariant_report(mask)
+        if report.span_rank == RANK and not report.h1_torsion:
+            full_span.add(mask)
+        reports.append(report)
+    return reports

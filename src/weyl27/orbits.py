@@ -27,6 +27,14 @@ line 1 that maps p there), so a child S is scanned over its |S| blocks
 rather than over the whole group. This is the first step of Linton's
 stabilizer-chain search for the smallest image of a set. It needs a
 transitive group; rev_table refuses any other.
+
+The minimal representatives form a tree: a child adds one line past its
+parent's last. In-process enumeration walks that tree depth first, and each
+child inherits its keys over its own blocks from its parent's scan instead
+of recomputing them (orderly generation in the sense of Read and McKay). A
+pool of workers builds the tree level by level instead, each worker taking
+a contiguous slice of the level's parents and computing their keys afresh.
+Both run one scan rule, _scan, and give the same records in the same order.
 """
 
 from __future__ import annotations
@@ -107,25 +115,56 @@ def orbit_masks(mask: int, group: PermutationGroup) -> list[int]:
     return [_unrev(int(k), group.degree) for k in keys[::-1]]
 
 
+def _scan(
+    idx: tuple[int, ...], keys: np.ndarray, cols: np.ndarray, top: int
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """The scan rule of one nonempty minimal parent with line indices idx.
+
+    keys[k] holds the parent's keys over the rows of block idx[k], the
+    blocks of its own lines. Every candidate c past the parent's last line
+    scans those blocks, where keys gains c's column, and block c, where
+    g(c) = line 1 adds the top key bit. A candidate is kept when no row of
+    either part beats the identity's key (the first row of block 0), and
+    the stabilizer count over the same rows gives its orbit length. Returns
+    the candidates' keys over the parent's blocks and over their own block,
+    the kept offsets past the last line, and their stabilizer counts.
+    """
+    first_cand = idx[-1] + 1
+    count = cols.shape[0] - first_cand
+    cand_keys = (cols[first_cand:, idx] + keys).reshape(count, -1)
+    new_keys = cols[idx, first_cand:].sum(axis=0, dtype=np.int32) + top
+    own_keys = cand_keys[:, 0]
+    keep = (cand_keys.max(axis=1) == own_keys) & (new_keys.max(axis=1) <= own_keys)
+    offsets = np.flatnonzero(keep).tolist()
+    stabs = [
+        int(np.count_nonzero(cand_keys[o] == own_keys[o]))
+        + int(np.count_nonzero(new_keys[o] == own_keys[o]))
+        for o in offsets
+    ]
+    return cand_keys, new_keys, offsets, stabs
+
+
+def _blocks(tbl: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
+    """tbl as [point, block, row in block], and the top key bit."""
+    return tbl.T.reshape(degree, degree, tbl.shape[0] // degree), 1 << (degree - 1)
+
+
 def _extend_batch(
     parents: Sequence[int], tbl: np.ndarray, degree: int
 ) -> list[tuple[int, int]]:
     """Children of lex-sorted minimal parents, in lex order, with orbit lengths.
 
-    Every child of a minimal arrangement adds a line past the parent's last
-    one; appending keeps parent order, so the output needs no sort. tbl is
-    laid out as PermutationGroup.rev_table. A child scans the blocks of its
-    own lines only: the parent's blocks for every candidate at once, and
-    block c for candidate c alone, where g(c) = line 1 adds the top key bit.
-    The child is kept when no row of either part beats the identity's key,
-    and the stabilizer count over the same rows gives its orbit length.
-    A parent without line 1, the empty one included, raises ValueError:
-    only nonempty minimal parents have their children in these blocks.
+    This is one level of the pool's level-by-level pass; in-process work
+    walks the tree depth first instead (_depth_first). Every child of a
+    minimal arrangement adds a line past the parent's last one; appending
+    keeps parent order, so the output needs no sort. tbl is laid out as
+    PermutationGroup.rev_table. Each parent's keys over its own blocks are
+    computed here from scratch, then _scan keeps its children. A parent
+    without line 1, the empty one included, raises ValueError: only
+    nonempty minimal parents have their children in these blocks.
     """
     order = tbl.shape[0]
-    block = order // degree
-    top = 1 << (degree - 1)
-    cols = tbl.T.reshape(degree, degree, block)  # [point, block, row in block]
+    cols, top = _blocks(tbl, degree)
     out: list[tuple[int, int]] = []
     for mask in parents:
         idx = _bits(mask)
@@ -134,19 +173,12 @@ def _extend_batch(
         first_cand = idx[-1] + 1
         if first_cand >= degree:
             continue
-        # Blocks of the parent's lines, for every candidate at once.
-        parent_keys = cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32)
-        cand_keys = (cols[first_cand:, idx] + parent_keys).reshape(degree - first_cand, -1)
-        own_keys = cand_keys[:, 0]  # the identity leads block 0
-        # Block c for candidate c alone.
-        new_keys = cols[idx, first_cand:].sum(axis=0, dtype=np.int32) + top
-        keep = (cand_keys.max(axis=1) == own_keys) & (new_keys.max(axis=1) <= own_keys)
-        for offset in np.flatnonzero(keep):
-            own = own_keys[offset]
-            stab = int(np.count_nonzero(cand_keys[offset] == own)) + int(
-                np.count_nonzero(new_keys[offset] == own)
-            )
-            out.append((mask | (1 << (first_cand + int(offset))), order // stab))
+        keys = cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32)
+        _, _, offsets, stabs = _scan(idx, keys, cols, top)
+        out.extend(
+            (mask | (1 << (first_cand + offset)), order // stab)
+            for offset, stab in zip(offsets, stabs)
+        )
     return out
 
 
@@ -186,17 +218,56 @@ class OrbitRecord:
         return {"n": self.n, "min_rep": list(self.min_rep), "orbit_size": self.orbit_size}
 
 
+def _depth_first(tbl: np.ndarray, degree: int, limit: int) -> list[OrbitRecord]:
+    """Levels 2..limit of minimal representatives, in one depth-first pass
+    from {line 1}, sorted by (size, lex).
+
+    A child's keys over its own blocks are its parent's scan row for it
+    over the parent's blocks, followed by its row over its own new block,
+    so no node recomputes them. Nodes are visited in preorder, and within
+    one level preorder is lex order: a child keeps its parent as its
+    prefix. Each node's candidate arrays are dropped before its children
+    are visited, so only the kept children's keys wait on the stack.
+    """
+    order = tbl.shape[0]
+    cols, top = _blocks(tbl, degree)
+    block = cols.shape[2]
+    levels: list[list[OrbitRecord]] = [[] for _ in range(limit + 1)]
+    # {line 1} has the one block 0, and no level to fill below two lines
+    stack = [(1, (0,), cols[0, :1])] if limit > 1 else []
+    while stack:
+        mask, idx, keys = stack.pop()
+        cand_keys, new_keys, offsets, stabs = _scan(idx, keys, cols, top)
+        n = len(idx) + 1
+        first_cand = idx[-1] + 1
+        visit = []
+        for offset, stab in zip(offsets, stabs):
+            line = first_cand + offset
+            child = mask | (1 << line)
+            levels[n].append(OrbitRecord(child, order // stab))
+            if n < limit and line + 1 < degree:
+                child_keys = np.concatenate(
+                    (cand_keys[offset].reshape(n - 1, block), new_keys[offset][None])
+                )
+                visit.append((child, idx + (line,), child_keys))
+        del cand_keys, new_keys
+        stack.extend(reversed(visit))
+    return [record for level in levels[2:] for record in level]
+
+
 def enumerate_all(
     group: PermutationGroup, max_n: int | None = None, workers: int = 1
 ) -> list[OrbitRecord]:
     """Every orbit as an OrbitRecord, sorted by (size, lex of representative).
 
-    One pass builds each level of minimal representatives, with their orbit
-    lengths, from the level below, up to max_n lines. Workers > 1 forks one
-    process pool and maps each level over it as that many contiguous slices
-    of the parents, in order, so the output is identical for any worker
-    count. Workers > 1 without the fork start method, an exception in a pool
-    task, or a worker that dies raises WorkerError.
+    Minimal representatives and their orbit lengths come from the extension
+    tree rooted at {line 1}, up to max_n lines. One worker walks the tree
+    depth first in this process, each child inheriting its parent's keys.
+    Workers > 1 fork one process pool and build it level by level, mapping
+    each level over the pool as that many contiguous slices of the parents,
+    in order. Both give the same records in the same order, for any worker
+    count. Workers > 1 without the fork start method, an exception in a
+    pool task, or a worker that dies raises WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
@@ -204,28 +275,26 @@ def enumerate_all(
     tbl = group.rev_table
     # rev_table admits only a transitive group: level 1 is one orbit, {line 1}.
     records = [OrbitRecord(0, 1), OrbitRecord(1, group.degree)][: limit + 1]
-    parents = [1]
     pool = _start_pool(group, workers)
+    if pool is None:
+        return records + _depth_first(tbl, group.degree, limit)
+    parents = [1]
     try:
         for _ in range(limit - 1):
-            if pool is None:
-                children = _extend_batch(parents, tbl, group.degree)
-            else:
-                size = -(-len(parents) // workers)
-                slices = [parents[i : i + size] for i in range(0, len(parents), size)]
-                try:
-                    parts = list(pool.map(_pool_extend, slices))
-                except Exception as exc:  # a task raised, or a worker died
-                    detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-                    raise WorkerError(f"a pool worker failed: {detail}") from exc
-                children = [child for part in parts for child in part]
+            size = -(-len(parents) // workers)
+            slices = [parents[i : i + size] for i in range(0, len(parents), size)]
+            try:
+                parts = list(pool.map(_pool_extend, slices))
+            except Exception as exc:  # a task raised, or a worker died
+                detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+                raise WorkerError(f"a pool worker failed: {detail}") from exc
+            children = [child for part in parts for child in part]
             if not children:
                 break
             records.extend(OrbitRecord(mask=m, orbit_size=s) for m, s in children)
             parents = [m for m, _ in children]
     finally:
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown()
     return records
 
 

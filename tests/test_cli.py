@@ -72,6 +72,19 @@ def test_bad_flag_values_exit_2(capsys):
     assert run(["verify", "--workers", "0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_workers_above_the_core_count_exit_2(cores, monkeypatch, capsys):
+    # the counter is patched, so no pool is ever started to try a large N
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: cores, raising=False)
+    RunConfig(output_path=None, format="text", workers=cores)
+    for workers in (cores + 1, 5000):
+        code, out, err = run(["enumerate", "--n", "2", "--workers", str(workers)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: workers must be at most {cores}, the available cores\n"
+
+
 @pytest.mark.parametrize("command", ["group", "invariants", "export-gap"])
 def test_workers_flag_only_where_a_pool_runs(command, capsys):
     with pytest.raises(SystemExit) as exit_info:

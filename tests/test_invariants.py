@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 from oracles import apply_perm, class_vectors
+from weyl27 import invariants
 from weyl27.invariants import invariant_report, restriction_matrix
 from weyl27.lattice import (
     cokernel_invariants,
@@ -118,6 +119,21 @@ def test_invariant_report_matches_two_pass_reference(ctx):
         assert (rep.h1_torsion, rep.h1_free_rank) == cokernel_invariants(
             pairing, target_rank=len(classes)
         )
+
+
+def test_inherited_reports_equal_full_reports(ctx, monkeypatch):
+    # below a full-span parent the reports skip the normal forms
+    for r, rep in zip(ctx.records, ctx.reports):
+        assert rep == invariant_report(r.mask)
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return invariant_report(mask)
+
+    monkeypatch.setattr(invariants, "invariant_report", counted)
+    assert invariants.invariant_reports(ctx.records) == ctx.reports
+    assert 0 < len(calls) <= 600
 
 
 def test_invariant_report_constant_under_a_random_element_at_every_n(ctx):

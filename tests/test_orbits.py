@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -308,6 +309,28 @@ def test_enumerate_all_worker_determinism():
     # neither the group nor its table in module state
     tbl = group.rev_table
     assert not [name for name, v in vars(orbits).items() if v is group or v is tbl]
+
+
+def test_serial_and_pooled_enumerations_agree_on_all_levels(ctx):
+    # ctx ran the in-process depth-first pass; the pool builds level by level
+    group = weyl_group()
+    assert enumerate_all(group, workers=2) == ctx.records
+    for k in (0, 1, 2, 3, 26, 27):  # 27 is the whole table again, serially
+        assert enumerate_all(group, max_n=k) == [r for r in ctx.records if r.n <= k]
+
+
+def test_depth_first_enumeration_memory():
+    # each node drops its candidate arrays before its children are visited;
+    # holding them on the stack measured about 33 MB against about 7 MB
+    group = weyl_group()
+    group.rev_table  # built and cached before the trace starts
+    tracemalloc.start()
+    try:
+        enumerate_all(group, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_enumerate_all_raises_without_fork(monkeypatch):
