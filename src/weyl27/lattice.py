@@ -125,21 +125,25 @@ def smith_normal_form(a: Iterable[Sequence[int]]) -> SNFResult:
             break
         i, j = best
         work[t], work[i] = work[i], work[t]
-        for row in work + v:
-            row[t], row[j] = row[j], row[t]
-        if work[t][t] < 0:
+        if work[t][j] < 0:
             work[t] = [-x for x in work[t]]
+        # column operations act in place on one list of all rows, built once
+        # per pass; they change only columns past t, so the row operations
+        # after them read the same multipliers and the two commute
+        every_row = work + v
+        for row in every_row:
+            row[t], row[j] = row[j], row[t]
         pivot = work[t]
         p = pivot[t]
+        for j in range(t + 1, n):
+            q = pivot[j] // p
+            if q:
+                for row in every_row:
+                    row[j] -= q * row[t]
         for i in range(t + 1, m):
             q = work[i][t] // p
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], pivot)]
-        for j in range(t + 1, n):
-            q = pivot[j] // p
-            if q:
-                for row in work + v:
-                    row[j] -= q * row[t]
         # the first row of the block with an entry p does not divide;
         # 1 divides everything
         bad = p > 1 and next((row for row in work[t:] if any(x % p for x in row[t:n])), None)

@@ -220,13 +220,26 @@ class PermutationGroup:
         return np.left_shift(1, self.degree - 1 - images, dtype=np.int32).T
 
 
-def generate_group(generators: Sequence[Perm]) -> PermutationGroup:
-    """Closure of the generators under composition, as a sorted table.
+def _row_set(table: np.ndarray) -> set[bytes]:
+    """The rows of a 2-d uint8 table as a set of bytes."""
+    rows, width = table.tobytes(), table.shape[1]
+    return {rows[k * width : (k + 1) * width] for k in range(len(table))}
 
-    Plain breadth-first closure; the identity always sorts first because it
-    is lex-least among permutations. Elements are held as bytes, so that
-    p followed by g is p.translate through g padded to 256 entries, and bytes
-    sort in the same order as the tuples of their values.
+
+def generate_group(generators: Sequence[Perm]) -> PermutationGroup:
+    """Closure of the generators under composition, as a lex-sorted table.
+
+    Dimino's method closes the group one generator at a time (Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991). Let H
+    be the group of the generators before g; a g already in H is skipped.
+    Otherwise H and g generate a union of right cosets H * r, each one numpy
+    composition r[H] of the rows of H (h followed by r). From the identity
+    on, each representative r followed by each generator so far gives a
+    candidate x. It is a new representative when x followed by r'^-1 lies
+    outside H for every representative r' so far, that is, when x lies in
+    no coset found. The union is then closed under every generator, so it
+    is the group. Rows are uint8, and one np.lexsort puts them in lex
+    order, the identity first.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -234,25 +247,29 @@ def generate_group(generators: Sequence[Perm]) -> PermutationGroup:
     if any(len(g) != degree for g in generators):
         raise ValueError("generators must share a degree")
     if degree > 256:
-        raise ValueError("element table rows are bytes: degree must be <= 256")
+        raise ValueError("element table rows are uint8: degree must be <= 256")
     if any(sorted(g) != list(range(degree)) for g in generators):
         raise ValueError("generators must be permutations of range(degree)")
-    identity = bytes(range(degree))
-    steps = [bytes(g) + bytes(range(degree, 256)) for g in generators]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for step in steps:
-                q = p.translate(step)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    rows = b"".join(sorted(seen))
-    table = np.frombuffer(rows, dtype=np.uint8).reshape(len(seen), degree).copy()
-    return PermutationGroup(degree=degree, generators=generators, elements=table)
+    group = np.arange(degree, dtype=np.uint8)[None]
+    used: list[np.ndarray] = []
+    for g in generators:
+        g = np.array(g, dtype=np.uint8)
+        members = _row_set(group)
+        if g.tobytes() in members:
+            continue
+        used.append(g)
+        reps, inverses = [group[0]], [group[0]]
+        for r in reps:  # grows while it is read
+            for s in used:
+                x = s[r]
+                # x is in the coset H * r' exactly when x followed by r'^-1 is in H
+                if _row_set(np.stack(inverses)[:, x]).isdisjoint(members):
+                    reps.append(x)
+                    inverses.append(np.argsort(x).astype(np.uint8))
+        group = np.concatenate([r[group] for r in reps])
+    if degree:  # lexsort needs a key; degree 0 has only the empty permutation
+        group = group[np.lexsort(group.T[::-1])]
+    return PermutationGroup(degree=degree, generators=generators, elements=group)
 
 
 @cache

@@ -1,5 +1,6 @@
 """Line classes, root reflections, and the permutation group they generate."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -185,15 +186,40 @@ def test_tiny_closures():
     assert generate_group([gens[0]]).order == 2
 
 
-def test_closure_matches_tuple_closure_with_compose():
-    gens = standard_generators()[:3]
+def _closure_cases():
+    g = standard_generators()
+    ident = tuple(range(27))
+    return {
+        "first-three": g[:3],
+        "first-three-reversed": g[:3][::-1],
+        "repeated": (g[1], g[1], g[2]),
+        "identity-first": (ident, g[0], g[3]),
+        "already-generated": (g[1], g[2], compose(g[1], g[2]), g[4]),
+        "intransitive-pair": (g[0], g[5]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_closure_cases()))
+def test_closure_matches_tuple_closure_with_compose(case):
+    gens = _closure_cases()[case]
     seen = {tuple(range(27))}
     frontier = list(seen)
     while frontier:
         frontier = [q for q in {compose(p, g) for p in frontier for g in gens} if q not in seen]
         seen.update(frontier)
     group = generate_group(gens)
+    assert group.elements.dtype == np.uint8
+    assert group.order == len(seen)
     assert [tuple(int(x) for x in row) for row in group.elements] == sorted(seen)
+
+
+def test_weyl_group_table_is_pinned():
+    # every row in order: the orbit scans and pool workers read this table
+    table = weyl_group().elements
+    assert table.dtype == np.uint8 and table.flags["C_CONTIGUOUS"]
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "1de53eef0efae5a88a04aab2784e2a08e93e9b9200612673992e29ba6361377d"
+    )
 
 
 def test_generate_group_rejects_non_permutations():
