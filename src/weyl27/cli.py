@@ -80,8 +80,10 @@ def _emit(text: str, cfg: RunConfig) -> None:
     """Write to stdout, or to --output, replacing a regular file atomically.
 
     A missing or regular target is written beside itself under a temporary
-    name, given the old file's mode, and renamed over it, so a write that
-    fails partway leaves any old file as it was and removes the partial one.
+    name with a random suffix, given the old file's mode, and renamed over
+    it, so a write that fails partway leaves any old file as it was and
+    removes the partial one, and a temporary file left by a killed run is
+    never opened again.
     Anything else (a device such as /dev/null, a FIFO, a pipe) and a file in
     a directory we cannot create files in are written in place.
     """
@@ -97,7 +99,7 @@ def _emit(text: str, cfg: RunConfig) -> None:
     if mode is None or stat.S_ISREG(mode):
         target = os.path.realpath(target)
         directory, name = os.path.split(target)
-        partial = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
         try:
             fh = open(partial, "x", encoding="utf-8")
         except PermissionError:

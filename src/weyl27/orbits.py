@@ -29,12 +29,12 @@ stabilizer-chain search for the smallest image of a set. It needs a
 transitive group; rev_table refuses any other.
 
 The minimal representatives form a tree: a child adds one line past its
-parent's last. In-process enumeration walks that tree depth first, and each
-child inherits its keys over its own blocks from its parent's scan instead
-of recomputing them (orderly generation in the sense of Read and McKay). A
-pool of workers builds the tree level by level instead, each worker taking
-a contiguous slice of the level's parents and computing their keys afresh.
-Both run one scan rule, _scan, and give the same records in the same order.
+parent's last. One walker, _walk, visits it depth first from lex-sorted
+roots, and each child inherits its keys over its own blocks from its
+parent's scan instead of recomputing them (orderly generation in the sense
+of Read and McKay). In process it walks the whole tree from {line 1}; a
+pool runs it level by level, each task a slice of one level's parents cut
+one level below them. Every node runs one scan rule, _scan.
 """
 
 from __future__ import annotations
@@ -144,44 +144,6 @@ def _scan(
     return cand_keys, new_keys, offsets, stabs
 
 
-def _blocks(tbl: np.ndarray, degree: int) -> tuple[np.ndarray, int]:
-    """tbl as [point, block, row in block], and the top key bit."""
-    return tbl.T.reshape(degree, degree, tbl.shape[0] // degree), 1 << (degree - 1)
-
-
-def _extend_batch(
-    parents: Sequence[int], tbl: np.ndarray, degree: int
-) -> list[tuple[int, int]]:
-    """Children of lex-sorted minimal parents, in lex order, with orbit lengths.
-
-    This is one level of the pool's level-by-level pass; in-process work
-    walks the tree depth first instead (_depth_first). Every child of a
-    minimal arrangement adds a line past the parent's last one; appending
-    keeps parent order, so the output needs no sort. tbl is laid out as
-    PermutationGroup.rev_table. Each parent's keys over its own blocks are
-    computed here from scratch, then _scan keeps its children. A parent
-    without line 1, the empty one included, raises ValueError: only
-    nonempty minimal parents have their children in these blocks.
-    """
-    order = tbl.shape[0]
-    cols, top = _blocks(tbl, degree)
-    out: list[tuple[int, int]] = []
-    for mask in parents:
-        idx = _bits(mask)
-        if not idx or idx[0] != 0:
-            raise ValueError(f"{list(lines_of_mask(mask))} lacks line 1: not a nonempty minimal parent")
-        first_cand = idx[-1] + 1
-        if first_cand >= degree:
-            continue
-        keys = cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32)
-        _, _, offsets, stabs = _scan(idx, keys, cols, top)
-        out.extend(
-            (mask | (1 << (first_cand + offset)), order // stab)
-            for offset, stab in zip(offsets, stabs)
-        )
-    return out
-
-
 class WorkerError(RuntimeError):
     """A pool cannot fork, a task raised, or a worker died; the message names why."""
 
@@ -195,8 +157,8 @@ def _pool_init(tbl: np.ndarray, degree: int) -> None:
     _worker_table = tbl, degree
 
 
-def _pool_extend(parents: Sequence[int]) -> list[tuple[int, int]]:
-    return _extend_batch(parents, *_worker_table)
+def _pool_extend(parents: Sequence[int]) -> list[OrbitRecord]:
+    return _walk(parents, *_worker_table, parents[0].bit_count() + 1)
 
 
 @dataclass(frozen=True)
@@ -218,41 +180,52 @@ class OrbitRecord:
         return {"n": self.n, "min_rep": list(self.min_rep), "orbit_size": self.orbit_size}
 
 
-def _depth_first(tbl: np.ndarray, degree: int, limit: int) -> list[OrbitRecord]:
-    """Levels 2..limit of minimal representatives, in one depth-first pass
-    from {line 1}, sorted by (size, lex).
+def _walk(
+    parents: Sequence[int], tbl: np.ndarray, degree: int, limit: int
+) -> list[OrbitRecord]:
+    """Descendants with at most limit lines of lex-sorted minimal parents
+    of one size, sorted by (size, lex).
 
-    A child's keys over its own blocks are its parent's scan row for it
-    over the parent's blocks, followed by its row over its own new block,
-    so no node recomputes them. Nodes are visited in preorder, and within
-    one level preorder is lex order: a child keeps its parent as its
+    tbl is laid out as PermutationGroup.rev_table. Root by root, a parent's
+    keys over its own blocks are computed afresh and its subtree is walked
+    depth first. A child's keys are its parent's scan row for it over the
+    parent's blocks, followed by its row over its own new block. Preorder
+    is lex order within a level, since a child keeps its parent as its
     prefix. Each node's candidate arrays are dropped before its children
-    are visited, so only the kept children's keys wait on the stack.
+    are visited, so only the kept children's keys wait on the stack. A
+    parent without line 1, the empty one included, raises ValueError: only
+    nonempty minimal parents have their children in these blocks.
     """
     order = tbl.shape[0]
-    cols, top = _blocks(tbl, degree)
-    block = cols.shape[2]
+    block = order // degree
+    cols = tbl.T.reshape(degree, degree, block)  # [point, block, row in block]
+    top = 1 << (degree - 1)
     levels: list[list[OrbitRecord]] = [[] for _ in range(limit + 1)]
-    # {line 1} has the one block 0, and no level to fill below two lines
-    stack = [(1, (0,), cols[0, :1])] if limit > 1 else []
-    while stack:
-        mask, idx, keys = stack.pop()
-        cand_keys, new_keys, offsets, stabs = _scan(idx, keys, cols, top)
-        n = len(idx) + 1
-        first_cand = idx[-1] + 1
-        visit = []
-        for offset, stab in zip(offsets, stabs):
-            line = first_cand + offset
-            child = mask | (1 << line)
-            levels[n].append(OrbitRecord(child, order // stab))
-            if n < limit and line + 1 < degree:
-                child_keys = np.concatenate(
-                    (cand_keys[offset].reshape(n - 1, block), new_keys[offset][None])
-                )
-                visit.append((child, idx + (line,), child_keys))
-        del cand_keys, new_keys
-        stack.extend(reversed(visit))
-    return [record for level in levels[2:] for record in level]
+    for root in parents:
+        idx = _bits(root)
+        if not idx or idx[0] != 0:
+            raise ValueError(f"{list(lines_of_mask(root))} lacks line 1: not a nonempty minimal parent")
+        if len(idx) >= limit or idx[-1] + 1 >= degree:
+            continue
+        stack = [(root, idx, cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32))]
+        while stack:
+            mask, idx, keys = stack.pop()
+            cand_keys, new_keys, offsets, stabs = _scan(idx, keys, cols, top)
+            n = len(idx) + 1
+            first_cand = idx[-1] + 1
+            visit = []
+            for offset, stab in zip(offsets, stabs):
+                line = first_cand + offset
+                child = mask | (1 << line)
+                levels[n].append(OrbitRecord(child, order // stab))
+                if n < limit and line + 1 < degree:
+                    child_keys = np.concatenate(
+                        (cand_keys[offset].reshape(n - 1, block), new_keys[offset][None])
+                    )
+                    visit.append((child, idx + (line,), child_keys))
+            del cand_keys, new_keys
+            stack.extend(reversed(visit))
+    return [record for level in levels for record in level]
 
 
 def enumerate_all(
@@ -261,23 +234,24 @@ def enumerate_all(
     """Every orbit as an OrbitRecord, sorted by (size, lex of representative).
 
     Minimal representatives and their orbit lengths come from the extension
-    tree rooted at {line 1}, up to max_n lines. One worker walks the tree
-    depth first in this process, each child inheriting its parent's keys.
-    Workers > 1 fork one process pool and build it level by level, mapping
-    each level over the pool as that many contiguous slices of the parents,
-    in order. Both give the same records in the same order, for any worker
-    count. Workers > 1 without the fork start method, an exception in a
-    pool task, or a worker that dies raises WorkerError.
+    tree rooted at {line 1}, up to max_n lines, all by one walker, _walk.
+    One worker walks the whole tree depth first in this process, each child
+    inheriting its parent's keys. Workers > 1 fork one process pool and
+    build it level by level: each level maps over the pool as that many
+    contiguous slices of the parents, in order, and each task is the walk
+    from its slice cut one level below it. Both give the same records in
+    the same order, for any worker count. Workers > 1 without the fork
+    start method, an exception in a pool task, or a worker that dies raises
+    WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
         raise ValueError(f"max_n out of range: {max_n}")
-    tbl = group.rev_table
     # rev_table admits only a transitive group: level 1 is one orbit, {line 1}.
     records = [OrbitRecord(0, 1), OrbitRecord(1, group.degree)][: limit + 1]
     pool = _start_pool(group, workers)
     if pool is None:
-        return records + _depth_first(tbl, group.degree, limit)
+        return records + _walk([1], group.rev_table, group.degree, limit)
     parents = [1]
     try:
         for _ in range(limit - 1):
@@ -288,11 +262,11 @@ def enumerate_all(
             except Exception as exc:  # a task raised, or a worker died
                 detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
                 raise WorkerError(f"a pool worker failed: {detail}") from exc
-            children = [child for part in parts for child in part]
+            children = [record for part in parts for record in part]
             if not children:
                 break
-            records.extend(OrbitRecord(mask=m, orbit_size=s) for m, s in children)
-            parents = [m for m, _ in children]
+            records.extend(children)
+            parents = [record.mask for record in children]
     finally:
         pool.shutdown()
     return records

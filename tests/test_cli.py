@@ -183,6 +183,19 @@ def test_output_is_replaced_atomically(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["gens.txt"]
 
 
+def test_output_leaves_a_stale_temp_file_alone(tmp_path, capsys):
+    # a run killed mid-write leaves its temp file behind, and a later run
+    # may get the same pid; it must neither fail on that file nor touch it
+    target = tmp_path / "gens.txt"
+    stale = tmp_path / f".gens.txt.{os.getpid()}.tmp"
+    stale.write_text("half a write")
+    code, out, err = run(["export-gap", "--output", str(target)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text().splitlines() == EXPECTED_CYCLES
+    assert stale.read_text() == "half a write"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "gens.txt"]
+
+
 def test_output_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
     target = tmp_path / "gens.txt"
     target.write_text("old contents\n")

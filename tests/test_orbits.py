@@ -27,7 +27,7 @@ from weyl27.orbits import (
     FULL_MASK,
     OrbitRecord,
     WorkerError,
-    _extend_batch,
+    _walk,
     enumerate_all,
     lines_of_mask,
     mask_from_lines,
@@ -41,9 +41,14 @@ def brute_minimum(mask, group):
     return sum(1 << i for i in min(image_rows(mask, group)))
 
 
+def walk(parents, group, limit):
+    """_walk over the group's table: the descendants of parents up to limit lines."""
+    return _walk(parents, group.rev_table, group.degree, limit)
+
+
 def children(parents, group):
-    """The next level's masks from lex-sorted minimal parents."""
-    return [mask for mask, _ in _extend_batch(parents, group.rev_table, group.degree)]
+    """The next level's masks from lex-sorted minimal parents of one size."""
+    return [r.mask for r in walk(parents, group, parents[0].bit_count() + 1)]
 
 
 # -------------------------------------------------------------------- masks
@@ -223,6 +228,45 @@ def test_extend_minimal_rejects_a_parent_without_line_1():
         children([mask_from_lines([2, 5])], group)
     with pytest.raises(ValueError, match="line 1"):
         children([0], group)
+
+
+def below(mask, n):
+    """The ancestor of a minimal representative with n lines: its first n."""
+    while mask.bit_count() > n:
+        mask ^= 1 << (mask.bit_length() - 1)
+    return mask
+
+
+def test_walk_cut_one_level_below_a_slice_is_the_pool_task(ctx):
+    # a pool task walks a contiguous slice of one level's parents, cut one
+    # level below them: it returns, in order, exactly those parents'
+    # children among the full table's records
+    for n in (5, 13, 14):
+        level = [r.mask for r in ctx.records if r.n == n]
+        third = len(level) // 3
+        for part in (level[:1], level[:third], level[third : 2 * third], level[-7:]):
+            expected = [r for r in ctx.records if r.n == n + 1 and below(r.mask, n) in part]
+            assert walk(part, ctx.group, n + 1) == expected
+
+
+def test_walk_below_a_slice_gives_every_descendant(ctx):
+    # uncut, the walk from a slice of level 13 yields every larger record
+    # whose first 13 lines are in the slice, sorted by (size, lex)
+    level = [r.mask for r in ctx.records if r.n == 13]
+    part = level[100:140]
+    expected = [r for r in ctx.records if r.n > 13 and below(r.mask, 13) in part]
+    assert walk(part, ctx.group, 27) == expected
+
+
+def test_walk_roots_with_no_children_yield_nothing():
+    group = weyl_group()
+    level_5 = children(children(children(children([1], group), group), group), group)
+    for limit in (4, 5):  # roots at or past the limit
+        assert walk(level_5, group, limit) == []
+    assert walk([1], group, 1) == []
+    # roots ending in line 27 have no line left to add
+    assert walk([FULL_MASK], group, 27) == []
+    assert walk([mask_from_lines([1, 27])], group, 27) == []
 
 
 # -------------------------------------------------------------- orbit sizes
