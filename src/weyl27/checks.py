@@ -348,7 +348,8 @@ def _is_even_suite() -> str | None:
             sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n)) % 2 == 0
             for x in product(range(-2, 3), repeat=n)
         )
-        if brute != lattice.is_even(g):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if brute != lattice.is_even(units, lattice.GramLattice(n, tuple(map(tuple, g)))):
             return f"is_even disagrees with box evaluation at trial {trial}"
     return None
 

@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import stat
 import sys
@@ -67,13 +66,6 @@ def _core_count() -> int:
     """Cores this process may use: the ceiling on --workers."""
     counter = getattr(os, "process_cpu_count", None) or os.cpu_count
     return counter() or 1
-
-
-def _default_workers() -> int:
-    """Every available core, or 1 where the pool cannot fork."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return _core_count()
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -306,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--workers",
                 type=int,
-                default=_default_workers(),
-                help="parallel worker processes (default: available cores; 1 without fork)",
+                default=1,
+                help="worker processes; more than 1 forks a pool (default: 1)",
             )
         p.set_defaults(run=run)
         return p

@@ -100,20 +100,21 @@ def _parse(raw, source: str) -> Expectations:
 
 def load_expectations() -> Expectations:
     """Load expectations from $WEYL27_EXPECTATIONS, or else the file shipped
-    with the package. A file that is not JSON, or misses or mistypes a value
-    the checks read, raises ExpectationsError."""
+    with the package. A file that is not UTF-8 JSON, or misses or mistypes a
+    value the checks read, raises ExpectationsError; one that cannot be
+    opened raises its OSError."""
     path = os.environ.get(ENV_VAR)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        path = "data/expectations.json"
-        text = resources.files("weyl27").joinpath(path).read_text("utf-8")
     try:
+        if path:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            path = "data/expectations.json"
+            text = resources.files("weyl27").joinpath(path).read_text("utf-8")
         return _parse(json.loads(text), path)
     except ExpectationsError:
         raise
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ExpectationsError(f"{path}: not valid JSON: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ExpectationsError(f"{path}: malformed value: {exc!r}") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lattice import Matrix, hermite_normal_form, inner_product, smith_normal_form
+from .lattice import Matrix, hermite_normal_form, is_even, smith_normal_form
 from .lines import AMBIENT, RANK, build_line_system
 from .orbits import OrbitRecord, lines_of_mask
 
@@ -70,9 +70,8 @@ def invariant_report(mask: int) -> InvariantReport:
     the cokernel, and the columns of v past the rank are a kernel basis.
     The ambient Gram matrix is unimodular, so rank(A) is the span rank.
 
-    The pairing is bilinear, so <x, x> is even on the whole complement
-    exactly when it is even on each basis vector: the parity reads the
-    basis' self-pairings, the diagonal of its Gram matrix, and nothing else.
+    The parity is lattice.is_even on that basis, the rule check 9 certifies:
+    by bilinearity it reads the basis' self-pairings and nothing else.
     The Hermite pass stays because it shrinks A to at most 7 rows before
     the Smith form, which on large arrangements is the cheaper route.
     """
@@ -83,12 +82,11 @@ def invariant_report(mask: int) -> InvariantReport:
     divisors = snf.divisors()
     rank = len(divisors)
     kernel = list(zip(*snf.v))[rank:]
-    even = all(inner_product(x, x, AMBIENT) % 2 == 0 for x in kernel)
     return InvariantReport(
         lines=lines,
         span_rank=rank,
         perp_rank=RANK - rank,
-        perp_parity="even" if even else "odd",
+        perp_parity="even" if is_even(kernel, AMBIENT) else "odd",
         h1_torsion=tuple(d for d in divisors if d > 1),
         h1_free_rank=len(lines) - rank,
     )

@@ -256,21 +256,17 @@ def orthogonal_complement(
     return basis, gram_of(basis, lat)
 
 
-def is_even(gram: Iterable[Sequence[int]]) -> bool:
-    """Whether every vector of the form x has even self-pairing x * G * x^T.
+def is_even(vectors: Iterable[Sequence[int]], lat: GramLattice) -> bool:
+    """Whether every vector of the lattice the vectors span has even
+    self-pairing.
 
-    By bilinearity this holds iff every diagonal entry of the symmetric Gram
-    matrix is even. The empty Gram matrix counts as even.
+    The pairing is bilinear and symmetric, so <x + y, x + y> = <x, x> +
+    2<x, y> + <y, y>: an integer combination's self-pairing has the parity
+    of the sum of its terms' self-pairings, and it is even everywhere
+    exactly when it is even on each given vector. No vectors span the zero
+    lattice, which counts as even.
     """
-    rows = _to_rows(gram)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("gram matrix must be square")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("gram matrix must be symmetric")
-    return all(rows[i][i] % 2 == 0 for i in range(n))
+    return all(inner_product(x, x, lat) % 2 == 0 for x in vectors)
 
 
 def cokernel_invariants(

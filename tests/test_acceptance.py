@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from weyl27 import checks
+from weyl27 import checks, invariants, lattice
 from weyl27.checks import run_all
 from weyl27.expectations import load_expectations
+from weyl27.invariants import invariant_report
+from weyl27.orbits import mask_from_lines
 
 CRITERIA = [
     (1, "group-construction"),
@@ -52,6 +54,22 @@ def test_property_suite_fails_a_non_canonical_certificate(ctx, monkeypatch):
     (result,) = checks._run(ctx, load_expectations(), [9])
     assert not result.passed
     assert "one isomorphism class got two certificates (n=3)" in result.detail
+
+
+def test_property_suite_fails_a_wrong_parity_rule(ctx, monkeypatch):
+    # the reports and check 9's box comparison run the one parity rule, so a
+    # wrong rule changes a reported parity and check 9 catches it
+    def always_even(vectors, lat):
+        return True
+
+    odd_member = mask_from_lines([1, 2, 3, 4, 5])
+    assert invariant_report(odd_member).perp_parity == "odd"
+    monkeypatch.setattr(lattice, "is_even", always_even)
+    monkeypatch.setattr(invariants, "is_even", always_even)
+    assert invariant_report(odd_member).perp_parity == "even"
+    (result,) = checks._run(ctx, load_expectations(), [9])
+    assert not result.passed
+    assert "is_even disagrees with box evaluation" in result.detail
 
 
 def test_disjoint_five_failure_names_the_expected_count(ctx, tmp_path, monkeypatch):

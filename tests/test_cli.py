@@ -85,6 +85,36 @@ def test_workers_above_the_core_count_exit_2(cores, monkeypatch, capsys):
         assert err == f"error: workers must be at most {cores}, the available cores\n"
 
 
+def _four_cores(monkeypatch, methods):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: 4, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+
+
+@pytest.mark.parametrize("methods", [["fork", "spawn"], ["spawn"]], ids=["fork", "no-fork"])
+def test_workers_default_to_one_on_every_platform(methods, monkeypatch):
+    _four_cores(monkeypatch, methods)
+    for command in cli.POOLED:
+        assert cli._build_parser().parse_args([command]).workers == 1
+
+
+def test_bare_command_never_starts_a_pool(monkeypatch, capsys):
+    _four_cores(monkeypatch, ["fork", "spawn"])
+    start_pool = orbits._start_pool
+    asked = []
+
+    def serial_only(group, workers):
+        asked.append(workers)
+        assert workers == 1, f"a bare command asked for {workers} workers"
+        return start_pool(group, workers)
+
+    monkeypatch.setattr(orbits, "_start_pool", serial_only)
+    code, out, err = run(["enumerate", "--n", "6"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("total 73\n")
+    assert asked == [1]
+
+
 @pytest.mark.parametrize("command", ["group", "invariants", "export-gap"])
 def test_workers_flag_only_where_a_pool_runs(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -265,6 +295,8 @@ def _edited(edit):
 # (shipped text -> malformed text, a fragment of the one error line)
 MALFORMED_EXPECTATIONS = {
     "truncated": (_truncated, "not valid JSON"),
+    # lone surrogates write as the raw bytes 0xff 0xfe: a file that is not UTF-8
+    "not-utf-8": (lambda text: "\udcff\udcfe" + text, "not valid JSON: 'utf-8' codec can't decode"),
     "no-zariski-pairs": (_edited(lambda raw: raw.pop("zariski_pairs")), "missing zariski_pairs"),
     "empty-h1-torsion": (
         _edited(lambda raw: raw["zariski_pairs"][1].update(h1_torsion=[])),
@@ -296,7 +328,8 @@ def test_malformed_expectations_exit_1_with_one_error_line(
 ):
     corrupt, fragment = MALFORMED_EXPECTATIONS[case]
     path = tmp_path / "expectations.json"
-    path.write_text(corrupt(SHIPPED_EXPECTATIONS.read_text(encoding="utf-8")), encoding="utf-8")
+    shipped = SHIPPED_EXPECTATIONS.read_text(encoding="utf-8")
+    path.write_text(corrupt(shipped), encoding="utf-8", errors="surrogateescape")
     monkeypatch.setenv("WEYL27_EXPECTATIONS", str(path))
 
     def no_pipeline(workers):
@@ -412,8 +445,7 @@ def test_workers_without_fork_fail_loudly(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: 2 workers need the fork start method, which this platform lacks\n"
-    # without fork the default is one worker, so a bare command still runs
-    assert cli._default_workers() == 1
+    # the default is one worker, so a bare command still runs
     code, out, err = run(["enumerate", "--n", "3"], capsys)
     assert code == 0
     assert out.endswith("total 8\n") and err == ""

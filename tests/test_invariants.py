@@ -7,8 +7,8 @@ from oracles import apply_perm, class_vectors
 from weyl27 import invariants
 from weyl27.invariants import invariant_report, restriction_matrix
 from weyl27.lattice import (
+    GramLattice,
     cokernel_invariants,
-    gram_of,
     inner_product,
     is_even,
     matrix_rank,
@@ -113,8 +113,12 @@ def test_invariant_report_matches_two_pass_reference(ctx):
     for r, rep in zip(ctx.records, ctx.reports):
         classes = class_vectors(r.mask)
         basis, gram = orthogonal_complement(classes, AMBIENT)
-        assert rep.perp_rank == len(basis)
-        assert rep.perp_parity == ("even" if is_even(gram) else "odd")
+        k = len(basis)
+        assert rep.perp_rank == k
+        # the complement as a lattice of its own, on its unit basis
+        own_units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        even = is_even(own_units, GramLattice(k, gram))
+        assert rep.perp_parity == ("even" if even else "odd")
         pairing = [[inner_product(e, c, AMBIENT) for e in units] for c in classes]
         assert (rep.h1_torsion, rep.h1_free_rank) == cokernel_invariants(
             pairing, target_rank=len(classes)
@@ -168,7 +172,7 @@ def test_parity_stable_under_change_of_basis():
     # transform the basis by random unimodular row operations and recompare
     rng = random.Random(427)
     for mask in (S1, S2, T1, T2, mask_from_lines([1, 2, 7])):
-        basis, gram = orthogonal_complement(class_vectors(mask), AMBIENT)
+        basis, _ = orthogonal_complement(class_vectors(mask), AMBIENT)
         k = len(basis)
         vecs = [list(v) for v in basis]
         for _ in range(30):
@@ -177,7 +181,7 @@ def test_parity_stable_under_change_of_basis():
                 continue
             c = rng.choice([-2, -1, 1, 2])
             vecs[i] = [a + c * b for a, b in zip(vecs[i], vecs[j])]
-        assert is_even(gram_of([tuple(v) for v in vecs], AMBIENT)) == is_even(gram)
+        assert is_even(vecs, AMBIENT) == is_even(basis, AMBIENT)
 
 
 def test_as_dict_round_trip():

@@ -305,19 +305,21 @@ def test_orthogonal_complement_of_nothing_is_everything():
 
 
 def test_is_even():
-    assert is_even(()) is True
-    assert is_even(((2,),)) is True
-    assert is_even(((1,),)) is False
-    assert is_even(((2, 1), (1, 4))) is True
-    assert is_even(((0, 1), (1, 0))) is True
+    hyperbolic = GramLattice(2, ((0, 1), (1, 0)))
+    assert is_even((), hyperbolic) is True
+    assert is_even([(1, 0), (0, 1)], hyperbolic) is True
+    assert is_even([(1, 1)], hyperbolic) is True
+    assert is_even([(2,)], GramLattice(1, ((1,),))) is True
+    assert is_even([(1,)], GramLattice(1, ((1,),))) is False
+    assert is_even([(1, 0), (0, 1)], GramLattice(2, ((2, 1), (1, 4)))) is True
     with pytest.raises(ValueError):
-        is_even(((0, 1), (2, 0)))
+        is_even([(1, 0, 0)], hyperbolic)
 
 
 def test_is_even_matches_exhaustive_norms():
-    # a gram matrix is even iff every vector in the lattice has even norm;
-    # checking a box around the origin is enough since parity of
-    # x.G.x is determined by the residues of x mod 2
+    # a lattice is even iff every vector in it has even norm; checking a box
+    # around the origin is enough since parity of x.G.x is determined by the
+    # residues of x mod 2
     rng = random.Random(415)
     for _ in range(50):
         n = rng.randint(1, 3)
@@ -331,7 +333,8 @@ def test_is_even_matches_exhaustive_norms():
         for _ in range(n):
             box = [v + [c] for v in box for c in range(-2, 3)]
         norms_even = all(inner_product(tuple(v), tuple(v), lat) % 2 == 0 for v in box)
-        assert is_even(lat.gram) == norms_even
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert is_even(units, lat) == norms_even
 
 
 # ----------------------------------------------------------------- cokernel
