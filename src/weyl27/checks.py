@@ -27,7 +27,7 @@ from .graphs import (
     IntersectionGraph,
     canonical_certificate,
     find_zariski_pairs,
-    intersection_graph,
+    record_certificates,
 )
 from .invariants import invariant_report, invariant_reports
 from .lines import (
@@ -100,7 +100,7 @@ def build_context(workers: int) -> PipelineContext:
     records = enumerate_all(group, workers=workers)
     enum_seconds = time.perf_counter() - t0
 
-    certificates = [canonical_certificate(intersection_graph(r.mask)) for r in records]
+    certificates = record_certificates(records, group)
     reports = invariant_reports(records)
     return PipelineContext(
         ls=ls,

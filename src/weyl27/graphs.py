@@ -14,7 +14,10 @@ minimum over all leaves of that search tree, so the search may skip any
 leaf it can prove no smaller. It skips the subtrees that an automorphism
 already found maps onto explored ones: siblings in one orbit of the
 automorphisms fixing the current prefix, and, when a leaf matches the best
-one, everything up to the node where the two paths part. Cells and
+one, everything up to the node where the two paths part. Automorphisms
+known in advance, here the set stabilizer rows the orbit walk keeps, seed
+that pruning from the root (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 2014). Cells and
 splitters are vertex bitmasks, so refining by one vertex is a mask test per
 cell, and refinement stops queueing the last part of every split, which
 never splits anything. Graphs here have at most 27 vertices.
@@ -23,12 +26,14 @@ never splits anything. Graphs here have at most 27 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import invariants as _invariants
-from .lines import LINE_COUNT, build_line_system
+from .lines import LINE_COUNT, PermutationGroup, build_line_system, weyl_group
 from .orbits import OrbitRecord, _bits, _checked_bits
 
 
@@ -65,7 +70,61 @@ def intersection_graph(mask: int) -> IntersectionGraph:
     rank = dict(zip(lines, _POWERS)).__getitem__
     neighbours = build_line_system().neighbour_masks
     adj = tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
-    return IntersectionGraph(n=len(lines), adj=adj)
+    # The neighbour relation is symmetric and loop-free, so the rows need
+    # none of __post_init__'s checks: set the fields as __init__ would.
+    g = object.__new__(IntersectionGraph)
+    object.__setattr__(g, "n", len(lines))
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
+# Records decoded per numpy pass in stabilizer_automorphisms: the pass
+# holds a few int64 arrays of 27 columns per stabilizer row, about 1 MB.
+_DECODE_CHUNK = 256
+
+
+def stabilizer_automorphisms(
+    records: Sequence[OrbitRecord], tbl: np.ndarray
+) -> Iterator[list[list[int]]]:
+    """Each record's stabilizer rows as automorphisms of its intersection
+    graph, record by record.
+
+    tbl is laid out as PermutationGroup.rev_table: row r sends line i to
+    line degree - tbl[r, i].bit_length(). Restricted to the arrangement S
+    and relabelled to vertex order, a row that maps S onto itself is an
+    automorphism of G[S], since the group preserves which lines meet. Rows
+    that fix every vertex are dropped, and so is any row that does not map
+    S onto itself, which only a record made over another table can hold.
+    The rows are decoded in numpy, a bounded chunk of records at a time.
+    """
+    degree = tbl.shape[1]
+    points = np.arange(degree)
+    for start in range(0, len(records), _DECODE_CHUNK):
+        part = records[start : start + _DECODE_CHUNK]
+        rows = [row for r in part for row in r.stabilizer]
+        owner = np.repeat(np.arange(len(part)), [len(r.stabilizer) for r in part])
+        inside = np.array([r.mask for r in part], dtype=np.int64)[:, None] >> points & 1
+        # vertex[k, i]: the vertex of line i in row k's arrangement, or -1
+        vertex = np.where(inside, inside.cumsum(axis=1) - 1, -1)[owner]
+        # frexp reads an entry 2**(degree - 1 - j) as exponent degree - j
+        images = degree - np.frexp(tbl[rows])[1]
+        mapped = np.take_along_axis(vertex, images, axis=1)
+        on = vertex >= 0
+        ok = ((mapped >= 0) | ~on).all(axis=1) & ((mapped != vertex) & on).any(axis=1)
+        perms: list[list[list[int]]] = [[] for _ in part]
+        flat = iter(mapped[ok][on[ok]].tolist())
+        for k, n in zip(owner[ok].tolist(), on[ok].sum(axis=1).tolist()):
+            perms[k].append(list(islice(flat, n)))
+        yield from perms
+
+
+def record_certificates(records: Sequence[OrbitRecord], group: PermutationGroup) -> list[str]:
+    """canonical_certificate of each record's graph, in order, seeded with
+    the stabilizer_automorphisms of its rows in group.rev_table."""
+    return [
+        canonical_certificate(intersection_graph(r.mask), seeds)
+        for r, seeds in zip(records, stabilizer_automorphisms(records, group.rev_table))
+    ]
 
 
 _POWERS = tuple(1 << k for k in range(LINE_COUNT))
@@ -150,7 +209,9 @@ def _refine(adj: Sequence[int], cells: list[int], splitter: int) -> list[int]:
         applied += 1
 
 
-def _canonical_leaf(adj: Sequence[int]) -> tuple[list[int], int]:
+def _canonical_leaf(
+    adj: Sequence[int], automorphisms: Sequence[Sequence[int]] = ()
+) -> tuple[list[int], int]:
     """A discrete partition (singleton masks in order) whose adjacency
     string is the least over the search tree, and that string.
 
@@ -163,7 +224,9 @@ def _canonical_leaf(adj: Sequence[int]) -> tuple[list[int], int]:
     holding the best leaf onto the current one. Every automorphism found
     fixes the prefix of each node still open, so a node filters its
     parent's list once, by the vertices it fixes, and adds the automorphisms
-    found below it.
+    found below it. The root's list starts with the given automorphisms,
+    so the search skips what they map onto explored subtrees without
+    first finding them at a leaf.
     """
     n = len(adj)
     if n == 0:
@@ -173,6 +236,7 @@ def _canonical_leaf(adj: Sequence[int]) -> tuple[list[int], int]:
     best_string = 1 << n * (n - 1) // 2  # above every string
     best_path: list[int] = []
     autos: list[tuple[list[int], int]] = []  # (permutation, moved mask)
+    seeds = [(perm, sum(1 << v for v in range(n) if perm[v] != v)) for perm in automorphisms]
 
     def leaf(cells: list[int]) -> int:
         nonlocal best_cells, best_string, best_path
@@ -251,7 +315,7 @@ def _canonical_leaf(adj: Sequence[int]) -> tuple[list[int], int]:
         return depth
 
     full = (1 << n) - 1
-    search(_refine(adj, [full], full), 0, [])
+    search(_refine(adj, [full], full), 0, seeds)
     return best_cells, best_string
 
 
@@ -271,16 +335,20 @@ def _adjacency_string(adj: Sequence[int], cells: Sequence[int]) -> int:
     return string
 
 
-def canonical_certificate(g: IntersectionGraph) -> str:
+def canonical_certificate(
+    g: IntersectionGraph, automorphisms: Sequence[Sequence[int]] = ()
+) -> str:
     """Certificate string "<n>:<hex>"; equal certificates iff isomorphic graphs.
 
     The hex packs the canonical adjacency string MSB-first, zero-padded to
-    whole bytes.
+    whole bytes. automorphisms, vertex permutations of g, seed the search's
+    pruning: they change how much of the search runs, never the string. A
+    permutation that is no automorphism of g can change it.
     """
     n = g.n
     bits = n * (n - 1) // 2
     size = (bits + 7) // 8
-    _, string = _canonical_leaf(g.adj)
+    _, string = _canonical_leaf(g.adj, automorphisms)
     return f"{n}:{(string << (8 * size - bits)).to_bytes(size, 'big').hex()}"
 
 
@@ -310,10 +378,11 @@ def classify_types(
     """Group orbits by combinatorial type, preserving record order.
 
     Precomputed certificates (aligned with records) can be passed to avoid
-    recomputation when the caller already has them.
+    recomputation when the caller already has them; otherwise the records'
+    stabilizer rows are read as rows of weyl_group()'s table.
     """
     if certificates is None:
-        certificates = [canonical_certificate(intersection_graph(r.mask)) for r in records]
+        certificates = record_certificates(records, weyl_group())
     fibers: dict[str, list[OrbitRecord]] = {}
     for record, cert in zip(records, certificates):
         fibers.setdefault(cert, []).append(record)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .lattice import Matrix, hermite_normal_form, is_even, smith_normal_form
+from .lattice import Matrix, is_even, smith_normal_form
 from .lines import AMBIENT, RANK, build_line_system
 from .orbits import OrbitRecord, lines_of_mask
 
@@ -61,24 +61,19 @@ def restriction_matrix(mask: int) -> Matrix:
 
 
 def invariant_report(mask: int) -> InvariantReport:
-    """Both invariants from one normal-form pass over the restriction matrix.
+    """Both invariants from one Smith form of the restriction matrix A.
 
-    The restriction matrix A is U * [H; 0] for its Hermite form H (at most 7
-    rows) and some unimodular U, so A and H share their elementary divisors
-    and their kernel, which is the orthogonal complement of the span. The
-    Smith form of H gives both: its divisors are the invariant factors of
-    the cokernel, and the columns of v past the rank are a kernel basis.
-    The ambient Gram matrix is unimodular, so rank(A) is the span rank.
+    The divisors of A's Smith form are the invariant factors of the
+    cokernel, and the columns of v past the rank are a basis of A's
+    kernel, the orthogonal complement of the span. The ambient Gram matrix
+    is unimodular, so rank(A) is the span rank.
 
     The parity is lattice.is_even on that basis, the rule check 9 certifies:
     by bilinearity it reads the basis' self-pairings and nothing else.
-    The Hermite pass stays because it shrinks A to at most 7 rows before
-    the Smith form, which on large arrangements is the cheaper route.
     """
     lines = lines_of_mask(mask)
     # the empty arrangement has no rows; one zero row keeps the width at 7
-    hnf = hermite_normal_form(restriction_matrix(mask)) or ((0,) * RANK,)
-    snf = smith_normal_form(hnf)
+    snf = smith_normal_form(restriction_matrix(mask) or ((0,) * RANK,))
     divisors = snf.divisors()
     rank = len(divisors)
     kernel = list(zip(*snf.v))[rank:]

@@ -1,5 +1,6 @@
 """Canonical labeling of intersection graphs and type classification."""
 
+import hashlib
 import itertools
 import random
 
@@ -13,9 +14,14 @@ from weyl27.graphs import (
     classify_types,
     find_zariski_pairs,
     intersection_graph,
+    record_certificates,
+    stabilizer_automorphisms,
 )
 from weyl27.lines import weyl_group
-from weyl27.orbits import enumerate_all, mask_from_lines
+from weyl27.orbits import OrbitRecord, enumerate_all, mask_from_lines
+
+# sha256 of the 5486 certificates in record order, joined by newlines
+CERTIFICATES_SHA256 = "4983e8884efe2857462a2832f70825c2330a612ff032d109db68c6f38d3dec2f"
 
 
 def packed_hex(adj, order):
@@ -207,6 +213,82 @@ def test_full_arrangement_certificate_is_stable():
     assert canonical_certificate(g) == canonical_certificate(
         relabel(g, tuple(reversed(range(27))))
     )
+
+
+def test_pipeline_graphs_pass_the_graph_checks(ctx):
+    # intersection_graph builds its graphs without IntersectionGraph's
+    # checks; every graph of the pipeline passes them anyway
+    for rec in ctx.records:
+        g = intersection_graph(rec.mask)
+        assert IntersectionGraph(g.n, g.adj) == g
+
+
+def is_automorphism(adj, perm):
+    return all(apply_perm(adj[v], perm) == adj[perm[v]] for v in range(len(adj)))
+
+
+def test_stabilizer_automorphisms_are_automorphisms(ctx):
+    seeds = list(stabilizer_automorphisms(ctx.records, ctx.group.rev_table))
+    assert len(seeds) == len(ctx.records)
+    count = 0
+    for rec, perms in zip(ctx.records, seeds):
+        adj = intersection_graph(rec.mask).adj
+        identity = list(range(len(adj)))
+        assert len(perms) <= len(rec.stabilizer)
+        for perm in perms:
+            assert sorted(perm) == identity and perm != identity
+            assert is_automorphism(adj, perm), rec
+        count += len(perms)
+    assert count > len(ctx.records)
+
+
+def test_rows_that_move_the_set_are_no_seeds():
+    # row 5 * B of the table sends line 6 to line 1, so it moves {1, 2}:
+    # a record made over another table could carry it
+    tbl = weyl_group().rev_table
+    block = tbl.shape[0] // tbl.shape[1]
+    rec = OrbitRecord(mask_from_lines([1, 2]), 216, (5 * block,))
+    assert list(stabilizer_automorphisms([rec], tbl)) == [[]]
+
+
+def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
+    refine = graphs._refine
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(graphs, "_refine", counted)
+    seeded = record_certificates(ctx.records, ctx.group)
+    seeded_calls = len(calls)
+    unseeded = [canonical_certificate(intersection_graph(r.mask)) for r in ctx.records]
+    assert seeded == unseeded == ctx.certificates
+    digest = hashlib.sha256("\n".join(seeded).encode()).hexdigest()
+    assert digest == CERTIFICATES_SHA256
+    # the seeds spare refinements: 24533 unseeded, 14683 with four rows each
+    assert seeded_calls <= 16000 < len(calls) - seeded_calls
+
+
+def test_a_false_seed_changes_some_certificate(ctx):
+    # the seeded search trusts its seeds, so the equality above can fail: a
+    # swap of two vertices of the root's first non-singleton cell that is no
+    # automorphism prunes a subtree it must not. (A swap of two vertices of
+    # different degree never lies within one cell, so it prunes nothing.)
+    for rec, cert in zip(ctx.records[2:], ctx.certificates[2:]):  # past the empty set and one line
+        adj = intersection_graph(rec.mask).adj
+        full = (1 << len(adj)) - 1
+        cell = next((c for c in graphs._refine(adj, [full], full) if c & (c - 1)), 0)
+        if not cell:
+            continue
+        u, w = [v for v in range(len(adj)) if cell >> v & 1][:2]
+        swap = list(range(len(adj)))
+        swap[u], swap[w] = w, u
+        if is_automorphism(adj, swap):
+            continue
+        if canonical_certificate(intersection_graph(rec.mask), [swap]) != cert:
+            return
+    pytest.fail("no certificate changed under a false seed")
 
 
 # ----------------------------------------------------------- classification

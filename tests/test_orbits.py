@@ -25,6 +25,7 @@ from weyl27.invariants import invariant_report
 from weyl27.lines import standard_generators, weyl_group
 from weyl27.orbits import (
     FULL_MASK,
+    STABILIZER_SEEDS,
     OrbitRecord,
     WorkerError,
     _walk,
@@ -269,6 +270,74 @@ def test_walk_roots_with_no_children_yield_nothing():
     assert walk([mask_from_lines([1, 27])], group, 27) == []
 
 
+def line_images(tbl, row):
+    """Row row of a rev_table as the permutation of line indices it is:
+    entry [row, i] is 2**(degree - 1 - j) for the image j of line i."""
+    degree = tbl.shape[1]
+    return [degree - int(entry).bit_length() for entry in tbl[row]]
+
+
+def assert_rows_fix_sets(records, group):
+    """Each walker record keeps the first STABILIZER_SEEDS table rows past
+    the identity whose element maps its set onto itself, or all of them."""
+    tbl = group.rev_table
+    for r in records:
+        stab = group.order // r.orbit_size
+        assert len(r.stabilizer) == min(STABILIZER_SEEDS, stab - 1), r
+        assert list(r.stabilizer) == sorted(set(r.stabilizer)) and 0 not in r.stabilizer
+        lines = indices(r.mask)
+        for row in r.stabilizer:
+            image = line_images(tbl, row)
+            assert sorted(image[i] for i in lines) == lines
+
+
+def test_stabilizer_rows_map_each_set_onto_itself(ctx):
+    walked = [r for r in ctx.records if r.n >= 2]  # levels 0 and 1 are not walked
+    assert all(not r.stabilizer for r in ctx.records if r.n < 2)
+    assert_rows_fix_sets(walked, ctx.group)
+    # they are the first such rows in table order, by a scan of the whole table
+    tbl = ctx.group.rev_table
+    for r in random.Random(429).sample(walked, 60):
+        keys = tbl[:, indices(r.mask)].sum(axis=1)
+        first = np.flatnonzero(keys == keys[0])[1 : 1 + STABILIZER_SEEDS]
+        assert list(r.stabilizer) == first.tolist()
+
+
+def test_pool_task_keeps_the_serial_walks_stabilizer_rows(ctx):
+    # a pool task, the walk cut one level below a slice, run here unforked
+    serial = {r.mask: r.stabilizer for r in ctx.records}
+    for n in (2, 5, 13):
+        level = [r.mask for r in ctx.records if r.n == n]
+        for part in (level[:1], level[len(level) // 3 :]):
+            task = walk(part, ctx.group, n + 1)
+            assert task
+            assert_rows_fix_sets(task, ctx.group)
+            assert [r.stabilizer for r in task] == [serial[r.mask] for r in task]
+
+
+def test_inherited_new_block_keys_match_a_fresh_sum(monkeypatch):
+    # at every node, the keys over its candidates' blocks that it inherited
+    # equal the column sum the scan used to compute afresh
+    group = weyl_group()
+    degree = group.degree
+    cols = group.rev_table.T.reshape(degree, degree, group.order // degree)
+    top = 1 << (degree - 1)
+    scan = orbits._scan
+    nodes = []
+
+    def checked(idx, keys, new_keys, cols_):
+        first = idx[-1] + 1
+        assert np.array_equal(new_keys, cols[list(idx), first:].sum(axis=0) + top), idx
+        nodes.append(sum(1 << i for i in idx))
+        return scan(idx, keys, new_keys, cols_)
+
+    monkeypatch.setattr(orbits, "_scan", checked)
+    records = walk([1], group, 8)
+    # every node below the cut with a line left to add was scanned
+    inner = [r.mask for r in records if r.n < 8 and not r.mask >> 26]
+    assert sorted(nodes) == sorted([1, *inner])
+
+
 # -------------------------------------------------------------- orbit sizes
 
 
@@ -346,8 +415,8 @@ def test_enumerate_all_worker_determinism():
     # past five lines the levels have dozens of parents to split across the pool
     serial = enumerate_all(group, max_n=8, workers=1)
     forked = enumerate_all(group, max_n=8, workers=2)
-    assert [(r.mask, r.orbit_size) for r in serial] == [
-        (r.mask, r.orbit_size) for r in forked
+    assert [(r.mask, r.orbit_size, r.stabilizer) for r in serial] == [
+        (r.mask, r.orbit_size, r.stabilizer) for r in forked
     ]
     # the workers got the table from their initializer: the parent keeps
     # neither the group nor its table in module state
@@ -492,3 +561,8 @@ def test_orbit_record_shape():
     assert rec.n == 2
     assert rec.min_rep == (1, 7)
     assert rec.as_dict() == {"n": 2, "min_rep": [1, 7], "orbit_size": 135}
+    # the stabilizer rows are a search hint: equality, repr and output ignore them
+    seeded = OrbitRecord(rec.mask, 135, (1920, 3840))
+    assert rec.stabilizer == () and seeded.stabilizer == (1920, 3840)
+    assert seeded == rec and hash(seeded) == hash(rec)
+    assert repr(seeded) == repr(rec) and seeded.as_dict() == rec.as_dict()
