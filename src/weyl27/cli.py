@@ -63,9 +63,14 @@ class RunConfig:
 
 
 def _core_count() -> int:
-    """Cores this process may use: the ceiling on --workers."""
-    counter = getattr(os, "process_cpu_count", None) or os.cpu_count
-    return counter() or 1
+    """Cores this process may use: the ceiling on --workers.
+
+    The process's CPU affinity where the platform reports one, since
+    os.cpu_count counts every CPU of the host; else os.cpu_count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(text: str, cfg: RunConfig) -> None:

@@ -13,21 +13,22 @@ bitstring over the discrete partitions reached. The certificate is the
 minimum over all leaves of that search tree, so the search may skip any
 leaf it can prove no smaller. It skips the subtrees that an automorphism
 already found maps onto explored ones: siblings in one orbit of the
-automorphisms fixing the current prefix, and, when a leaf matches the best
-one, everything up to the node where the two paths part. Automorphisms
-known in advance, here the set stabilizer rows the orbit walk keeps, seed
-that pruning from the root (McKay and Piperno, "Practical graph
-isomorphism, II", J. Symbolic Comput. 2014). Cells and
-splitters are vertex bitmasks, so refining by one vertex is a mask test per
-cell, and refinement stops queueing the last part of every split, which
-never splits anything. Graphs here have at most 27 vertices.
+automorphisms fixing the current prefix, and, when a leaf's string ties the
+best one, everything up to the node where the two paths part. A tie is
+itself the automorphism test: two leaves spell the same string exactly
+when the map between them, position by position, preserves adjacency.
+Automorphisms known in advance, here the set stabilizer rows the orbit
+walk keeps, seed that pruning from the root (McKay and Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 2014). Cells and splitters are
+vertex bitmasks, so refining by one vertex is a mask test per cell, and
+refinement stops queueing the last part of every split, which never splits
+anything. Graphs here have at most 27 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import ne
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -215,18 +216,19 @@ def _canonical_leaf(
     """A discrete partition (singleton masks in order) whose adjacency
     string is the least over the search tree, and that string.
 
-    A leaf's string is computed once, and only when the leaf is not an
-    automorphic image of the best one. A leaf whose string equals the best one differs from it by
-    the automorphism that maps the best leaf's vertex at each position to
-    this leaf's. That is checked on the moved vertices only, and the search
-    then returns to the node where the two leaves' paths part: the
-    automorphism fixes that node's prefix and maps the explored subtree
-    holding the best leaf onto the current one. Every automorphism found
-    fixes the prefix of each node still open, so a node filters its
-    parent's list once, by the vertices it fixes, and adds the automorphisms
-    found below it. The root's list starts with the given automorphisms,
-    so the search skips what they map onto explored subtrees without
-    first finding them at a leaf.
+    Every leaf is judged by its string alone. A string below the best one
+    makes the leaf the best. A string equal to it is the automorphism test:
+    the map from the best leaf's vertex at each position to this leaf's
+    preserves adjacency exactly when the two strings agree. The map is kept
+    with the vertices it moves, as the seeds are, and the search returns to
+    the node where the two leaves' paths part: the automorphism fixes that
+    node's prefix and maps the explored subtree holding the best leaf onto
+    the current one. Every automorphism found fixes the prefix of each
+    node still open, so a node filters its parent's list once, by the
+    vertices it fixes, and adds the automorphisms found below it. The
+    root's list starts with the given automorphisms, so the search skips
+    what they map onto explored subtrees without first finding them at a
+    leaf.
     """
     n = len(adj)
     if n == 0:
@@ -240,38 +242,21 @@ def _canonical_leaf(
 
     def leaf(cells: list[int]) -> int:
         nonlocal best_cells, best_string, best_path
-        if best_cells:
-            diff = list(compress(range(n), map(ne, cells, best_cells)))
-            moved = 0
-            image = {}
-            for k in diff:
-                moved |= best_cells[k]
-                image[best_cells[k]] = cells[k]
-            for k in diff:
-                row = adj[best_cells[k].bit_length() - 1]
-                target = adj[cells[k].bit_length() - 1]
-                if (row ^ target) & ~moved:
-                    break
-                m = row & moved
-                mapped = 0
-                while m:
-                    low = m & -m
-                    mapped |= image[low]
-                    m ^= low
-                if mapped != target & moved:
-                    break
-            else:
-                perm = list(range(n))
-                for k in diff:
-                    perm[best_cells[k].bit_length() - 1] = cells[k].bit_length() - 1
-                autos.append((perm, moved))
-                j = 0
-                while path[j] == best_path[j]:
-                    j += 1
-                return j
         string = _adjacency_string(adj, cells)
         if string < best_string:
             best_cells, best_string, best_path = cells, string, path[:]
+        elif string == best_string:
+            perm = list(range(n))
+            moved = 0
+            for b, c in zip(best_cells, cells):
+                if b != c:
+                    moved |= b
+                    perm[b.bit_length() - 1] = c.bit_length() - 1
+            autos.append((perm, moved))
+            j = 0
+            while path[j] == best_path[j]:
+                j += 1
+            return j
         return len(path)
 
     def search(cells: list[int], k: int, gens: list) -> int:

@@ -2,6 +2,8 @@
 such as minimality by a scan over every group element. Arrangements are
 bitmasks, bit i for line i + 1."""
 
+from collections import defaultdict
+
 import numpy as np
 
 from weyl27.graphs import IntersectionGraph
@@ -108,3 +110,65 @@ def relabel(g, perm):
     for v in range(g.n):
         adj[perm[v]] = sum(1 << perm[w] for w in indices(g.adj[v]))
     return IntersectionGraph(n=g.n, adj=tuple(adj))
+
+
+def stable_colours(adj, names):
+    """1-WL colours of every vertex once no class splits any more.
+
+    A colour is the id that names, shared by every graph, gives the pair
+    (previous colour, sorted neighbour colours), starting from the degree.
+    Ids depend only on these signatures, so isomorphic graphs get equal
+    colour histograms and every isomorphism preserves colours.
+    """
+    nbrs = [indices(row) for row in adj]
+    colours = [names.setdefault(("degree", len(nb)), len(names)) for nb in nbrs]
+    while True:
+        refined = [
+            names.setdefault((colours[v], tuple(sorted(colours[w] for w in nb))), len(names))
+            for v, nb in enumerate(nbrs)
+        ]
+        if len(set(refined)) == len(set(colours)):
+            return colours
+        colours = refined
+
+
+def find_isomorphism(a, ca, b, cb):
+    """A colour-preserving isomorphism from graph a to graph b as a list
+    (vertex of a -> vertex of b), or None when the full search finds none.
+
+    Vertices of a are matched in a fixed order that prefers the vertex
+    with most neighbours already matched, then the smallest colour class.
+    A candidate in b must have the same colour, be unused and agree on
+    adjacency with every pair matched so far.
+    """
+    n = len(a)
+    class_size = defaultdict(int)
+    for c in ca:
+        class_size[c] += 1
+    order, matched = [], 0
+    for _ in range(n):
+        v = min(
+            (v for v in range(n) if not matched >> v & 1),
+            key=lambda v: (-(a[v] & matched).bit_count(), class_size[ca[v]], v),
+        )
+        order.append(v)
+        matched |= 1 << v
+    candidates = defaultdict(list)
+    for w, c in enumerate(cb):
+        candidates[c].append(w)
+    image = [0] * n
+
+    def extend(k, used):
+        if k == n:
+            return True
+        v = order[k]
+        for w in candidates[ca[v]]:
+            if used >> w & 1:
+                continue
+            if all((a[v] >> u & 1) == (b[w] >> image[u] & 1) for u in order[:k]):
+                image[v] = w
+                if extend(k + 1, used | 1 << w):
+                    return True
+        return False
+
+    return image if extend(0, 0) else None

@@ -24,8 +24,8 @@ def test_all_is_the_readme_library_api():
 SRC = Path(weyl27.__file__).resolve().parent
 
 # Names the benchmark looks up at fixed module paths (perfbench/child.py
-# wraps them by name); they stay until it reads a stats side channel
-# instead (ROADMAP item 4).
+# wraps them by name); they stay until the benchmark reads a stats side
+# channel instead, the benchmark change of ROADMAP item 13.
 BENCHMARK_PINNED = {
     "orbit_size",
     "matrix_rank",

@@ -72,11 +72,16 @@ def test_bad_flag_values_exit_2(capsys):
     assert run(["verify", "--workers", "0"], capsys)[0] == 2
 
 
+def _usable_cores(monkeypatch, usable, host):
+    """This process may run on CPUs 0..usable-1 of a host with host CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: host)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_workers_above_the_core_count_exit_2(cores, monkeypatch, capsys):
     # the counter is patched, so no pool is ever started to try a large N
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(os, "process_cpu_count", lambda: cores, raising=False)
+    _usable_cores(monkeypatch, cores, cores)
     RunConfig(output_path=None, format="text", workers=cores)
     for workers in (cores + 1, 5000):
         code, out, err = run(["enumerate", "--n", "2", "--workers", str(workers)], capsys)
@@ -85,9 +90,24 @@ def test_workers_above_the_core_count_exit_2(cores, monkeypatch, capsys):
         assert err == f"error: workers must be at most {cores}, the available cores\n"
 
 
+def test_workers_ceiling_is_the_cpu_affinity(monkeypatch, capsys):
+    # pinned to one CPU of a four-CPU host, as under taskset -c 0
+    _usable_cores(monkeypatch, 1, 4)
+    code, out, err = run(["enumerate", "--n", "3", "--workers", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: workers must be at most 1, the available cores\n"
+
+
+def test_workers_ceiling_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._core_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._core_count() == 1
+
+
 def _four_cores(monkeypatch, methods):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "process_cpu_count", lambda: 4, raising=False)
+    _usable_cores(monkeypatch, 4, 4)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
 
 

@@ -251,15 +251,59 @@ def test_rows_that_move_the_set_are_no_seeds():
     assert list(stabilizer_automorphisms([rec], tbl)) == [[]]
 
 
-def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
+# Searches that stop pruning blow up: with leaf ties ignored the edgeless
+# graph on 10 vertices needs more than 200 000 refinements.
+REFINE_CAP = 10_000
+
+
+def count_refinements(monkeypatch, cap=REFINE_CAP):
+    """A list that grows by one per _refine call; a call past cap raises."""
     refine = graphs._refine
     calls = []
 
     def counted(*args):
         calls.append(None)
+        if len(calls) > cap:
+            raise RuntimeError(f"more than {cap} refinements")
         return refine(*args)
 
     monkeypatch.setattr(graphs, "_refine", counted)
+    return calls
+
+
+PRUNED_SEARCHES = {
+    "petersen": (
+        graph_from_edges(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+        ),
+        10,
+    ),
+    "3-cube": (
+        graph_from_edges(8, [(v, v | 1 << b) for v in range(8) for b in range(3) if not v >> b & 1]),
+        10,
+    ),
+    "C12": (graph_from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 6),
+    "edgeless-10": (graph_from_edges(10, []), 55),
+    "27-lines": (intersection_graph((1 << 27) - 1), 23),
+}
+
+
+@pytest.mark.parametrize("name", PRUNED_SEARCHES)
+def test_symmetric_graphs_take_few_refinements(name, monkeypatch):
+    # each bound is today's count: a leaf that ties the best string prunes
+    # back to where the two paths part, and without that the counts grow
+    # (191 for the Petersen graph, 82540 for the 27 lines)
+    g, most = PRUNED_SEARCHES[name]
+    calls = count_refinements(monkeypatch)
+    canonical_certificate(g)
+    assert len(calls) <= most
+
+
+def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
+    calls = count_refinements(monkeypatch, cap=14683 + 24533)
     seeded = record_certificates(ctx.records, ctx.group)
     seeded_calls = len(calls)
     unseeded = [canonical_certificate(intersection_graph(r.mask)) for r in ctx.records]
@@ -267,7 +311,8 @@ def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
     digest = hashlib.sha256("\n".join(seeded).encode()).hexdigest()
     assert digest == CERTIFICATES_SHA256
     # the seeds spare refinements: 24533 unseeded, 14683 with four rows each
-    assert seeded_calls <= 16000 < len(calls) - seeded_calls
+    assert seeded_calls <= 14683
+    assert 16000 < len(calls) - seeded_calls <= 24533
 
 
 def test_a_false_seed_changes_some_certificate(ctx):
