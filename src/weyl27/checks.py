@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -299,11 +300,11 @@ def _disjoint_five(ctx: PipelineContext, exp: Expectations) -> list[str]:
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for row in a
-    ]
+    # map(mul, ...) stops at the shorter sequence, so the shapes are checked
+    cols = list(zip(*b, strict=True))
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"each row of the left factor needs {len(b)} entries")
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _snf_suite() -> str | None:

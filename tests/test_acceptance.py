@@ -56,6 +56,17 @@ def test_property_suite_fails_a_non_canonical_certificate(ctx, monkeypatch):
     assert "one isomorphism class got two certificates (n=3)" in result.detail
 
 
+def test_snf_suite_product_refuses_mismatched_shapes():
+    # check 9 multiplies the Smith transforms back; a transform of the wrong
+    # shape must raise instead of giving a truncated product
+    assert checks._matmul([[1, 2], [3, 4]], [[5, 6, 7], [8, 9, 10]]) == [[21, 24, 27], [47, 54, 61]]
+    assert checks._matmul([[], []], []) == [[], []]
+    with pytest.raises(ValueError):
+        checks._matmul([[1, 2], [3]], [[5], [6]])
+    with pytest.raises(ValueError):
+        checks._matmul([[1, 2]], [[5, 6], [7]])
+
+
 def test_property_suite_fails_a_wrong_parity_rule(ctx, monkeypatch):
     # the reports and check 9's box comparison run the one parity rule, so a
     # wrong rule changes a reported parity and check 9 catches it
