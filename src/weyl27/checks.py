@@ -24,12 +24,7 @@ import numpy as np
 
 from . import lattice
 from .expectations import Expectations, load_expectations
-from .graphs import (
-    IntersectionGraph,
-    canonical_certificate,
-    find_zariski_pairs,
-    record_certificates,
-)
+from .graphs import canonical_certificate, find_zariski_pairs, record_certificates
 from .invariants import invariant_report, invariant_reports
 from .lines import (
     LINE_COUNT,
@@ -392,7 +387,7 @@ def _certificate_suite() -> str | None:
                 if (edges_bits >> p) & 1:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-            cert = canonical_certificate(IntersectionGraph(n=n, adj=tuple(adj)))
+            cert = canonical_certificate(tuple(adj))
             brute = keys[edges_bits]
             if brute_to_cert.setdefault(brute, cert) != cert:
                 return f"one isomorphism class got two certificates (n={n})"

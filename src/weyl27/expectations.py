@@ -64,6 +64,11 @@ def _parse(raw, source: str) -> Expectations:
     missing = [f.name for f in fields(Expectations) if f.name not in raw]
     if missing:
         raise ExpectationsError(f"{source}: missing {', '.join(missing)}")
+    orbit_counts = tuple(raw["orbit_counts"])
+    if len(orbit_counts) != LINE_COUNT + 1:
+        raise ExpectationsError(
+            f"{source}: orbit_counts needs one entry per size 0..{LINE_COUNT} ({LINE_COUNT + 1})"
+        )
     pairs = []
     for number, entry in enumerate(raw["zariski_pairs"], start=1):
         where = f"{source}: zariski pair {number}"
@@ -90,7 +95,7 @@ def _parse(raw, source: str) -> Expectations:
     return Expectations(
         group_order=int(raw["group_order"]),
         generator_cycles=tuple(raw["generator_cycles"]),
-        orbit_counts=tuple(raw["orbit_counts"]),
+        orbit_counts=orbit_counts,
         total_orbits=int(raw["total_orbits"]),
         power_set_size=int(raw["power_set_size"]),
         zariski_pairs=tuple(pairs),

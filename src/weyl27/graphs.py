@@ -38,45 +38,20 @@ from .lines import LINE_COUNT, PermutationGroup, build_line_system, weyl_group
 from .orbits import OrbitRecord, _bits, _checked_bits
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Simple undirected graph; adjacency stored as per-vertex bitmasks."""
-
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n, adj = self.n, self.adj
-        if len(adj) != n:
-            raise ValueError("adjacency length must equal vertex count")
-        if adj and (min(adj) < 0 or max(adj) >> n):
-            raise ValueError("adjacency bits out of range")
-        if any(row >> v & 1 for v, row in enumerate(adj)):
-            raise ValueError("no loops allowed")
-        for v, row in enumerate(adj):
-            for w in _bits(row):
-                if not adj[w] >> v & 1:
-                    raise ValueError("adjacency must be symmetric")
-
-
-def intersection_graph(mask: int) -> IntersectionGraph:
-    """Graph on the lines of the arrangement, edge iff the lines meet.
+def intersection_graph(mask: int) -> tuple[int, ...]:
+    """Neighbour masks of the graph on the lines of the arrangement, edge
+    iff the lines meet.
 
     Vertex k is the k-th line of the arrangement in increasing number order.
     Row k is that line's neighbour mask cut to the arrangement, with each
-    line's bit moved to the line's vertex number. A mask outside
-    0..2**27 - 1 raises ValueError.
+    line's bit moved to the line's vertex number; the rows are symmetric and
+    loop-free because the line system's are. A mask outside 0..2**27 - 1
+    raises ValueError.
     """
     lines = _checked_bits(mask, LINE_COUNT)
     rank = dict(zip(lines, _POWERS)).__getitem__
     neighbours = build_line_system().neighbour_masks
-    adj = tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
-    # The neighbour relation is symmetric and loop-free, so the rows need
-    # none of __post_init__'s checks: set the fields as __init__ would.
-    g = object.__new__(IntersectionGraph)
-    object.__setattr__(g, "n", len(lines))
-    object.__setattr__(g, "adj", adj)
-    return g
+    return tuple(sum(map(rank, _bits(neighbours[i] & mask))) for i in lines)
 
 
 # Records decoded per numpy pass in stabilizer_automorphisms: the pass
@@ -321,19 +296,21 @@ def _adjacency_string(adj: Sequence[int], cells: Sequence[int]) -> int:
 
 
 def canonical_certificate(
-    g: IntersectionGraph, automorphisms: Sequence[Sequence[int]] = ()
+    adj: Sequence[int], automorphisms: Sequence[Sequence[int]] = ()
 ) -> str:
-    """Certificate string "<n>:<hex>"; equal certificates iff isomorphic graphs.
+    """Certificate string "<n>:<hex>" of the simple graph on n = len(adj)
+    vertices whose vertex v has neighbour mask adj[v]; equal certificates
+    iff isomorphic graphs.
 
     The hex packs the canonical adjacency string MSB-first, zero-padded to
-    whole bytes. automorphisms, vertex permutations of g, seed the search's
-    pruning: they change how much of the search runs, never the string. A
-    permutation that is no automorphism of g can change it.
+    whole bytes. automorphisms, vertex permutations of the graph, seed the
+    search's pruning: they change how much of the search runs, never the
+    string. A permutation that is no automorphism can change it.
     """
-    n = g.n
+    n = len(adj)
     bits = n * (n - 1) // 2
     size = (bits + 7) // 8
-    _, string = _canonical_leaf(g.adj, automorphisms)
+    _, string = _canonical_leaf(adj, automorphisms)
     return f"{n}:{(string << (8 * size - bits)).to_bytes(size, 'big').hex()}"
 
 
@@ -362,14 +339,15 @@ def classify_types(
 ) -> dict[str, list[OrbitRecord]]:
     """Group orbits by combinatorial type, preserving record order.
 
-    Precomputed certificates (aligned with records) can be passed to avoid
-    recomputation when the caller already has them; otherwise the records'
-    stabilizer rows are read as rows of weyl_group()'s table.
+    Precomputed certificates, one per record in order, can be passed to
+    avoid recomputation when the caller already has them; a list of another
+    length raises ValueError. Otherwise the records' stabilizer rows are
+    read as rows of weyl_group()'s table.
     """
     if certificates is None:
         certificates = record_certificates(records, weyl_group())
     fibers: dict[str, list[OrbitRecord]] = {}
-    for record, cert in zip(records, certificates):
+    for record, cert in zip(records, certificates, strict=True):
         fibers.setdefault(cert, []).append(record)
     return fibers
 

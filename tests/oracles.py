@@ -6,7 +6,6 @@ from collections import defaultdict
 
 import numpy as np
 
-from weyl27.graphs import IntersectionGraph
 from weyl27.lattice import inner_product
 from weyl27.lines import AMBIENT, LINE_COUNT, RANK, build_line_system
 
@@ -94,22 +93,37 @@ def class_vectors(mask):
     return tuple(classes[i] for i in indices(mask))
 
 
+def is_simple_graph(adj):
+    """Whether adj, one neighbour mask per vertex, is a simple undirected
+    graph: every row within the vertices, no loops, each edge in both rows."""
+    n = len(adj)
+    return all(
+        0 <= row < 1 << n
+        and not row >> v & 1
+        and all(adj[w] >> v & 1 for w in indices(row))
+        for v, row in enumerate(adj)
+    )
+
+
 def graph_from_edges(n, edges):
+    """Neighbour masks of the graph on vertices 0..n-1 with the given edges."""
     adj = [0] * n
     for a, b in edges:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"bad edge: {(a, b)}")
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return IntersectionGraph(n=n, adj=tuple(adj))
+    return tuple(adj)
 
 
-def relabel(g, perm):
-    """Copy of g with vertex v renamed perm[v]."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        adj[perm[v]] = sum(1 << perm[w] for w in indices(g.adj[v]))
-    return IntersectionGraph(n=g.n, adj=tuple(adj))
+def relabel(adj, perm):
+    """Neighbour masks of the graph adj with vertex v renamed perm[v]."""
+    if sorted(perm) != list(range(len(adj))):
+        raise ValueError(f"not a permutation of the vertices: {perm}")
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[w] for w in indices(row))
+    return tuple(out)
 
 
 def stable_colours(adj, names):

@@ -330,6 +330,10 @@ MALFORMED_EXPECTATIONS = {
         _edited(lambda raw: raw["zariski_pairs"][0]["orbit_sizes"].pop()),
         "zariski pair 1: orbit_sizes needs one entry per member (2)",
     ),
+    "short-orbit-counts": (
+        _edited(lambda raw: raw["orbit_counts"].pop()),
+        "orbit_counts needs one entry per size 0..27 (28)",
+    ),
     "line-28": (
         _edited(lambda raw: raw["zariski_pairs"][0]["members"][1].append(28)),
         "zariski pair 1: member [1, 2, 3, 4, 21, 28] needs distinct lines in 1..27",

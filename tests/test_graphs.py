@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from oracles import apply_perm, graph_from_edges, relabel
+from oracles import apply_perm, graph_from_edges, is_simple_graph, relabel
 from weyl27 import graphs
 from weyl27.graphs import (
-    IntersectionGraph,
     canonical_certificate,
     classify_types,
     find_zariski_pairs,
@@ -39,13 +38,13 @@ def packed_hex(adj, order):
 
 def brute_certificate(g):
     """Minimum packed form over every vertex ordering."""
-    best = min(packed_hex(g.adj, perm) for perm in itertools.permutations(range(g.n)))
-    return f"{g.n}:{best}"
+    best = min(packed_hex(g, perm) for perm in itertools.permutations(range(len(g))))
+    return f"{len(g)}:{best}"
 
 
 def canonical_order(g):
     """Vertex order of the leaf whose adjacency string is the certificate."""
-    cells, _ = graphs._canonical_leaf(g.adj)
+    cells, _ = graphs._canonical_leaf(g)
     return [c.bit_length() - 1 for c in cells]
 
 
@@ -61,47 +60,15 @@ def random_graph(rng, n, p=0.5):
 
 def test_graph_validation():
     g = graph_from_edges(3, [(0, 1)])
-    assert g.adj == (0b010, 0b001, 0b000)
+    assert g == (0b010, 0b001, 0b000) and is_simple_graph(g)
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 0)])  # loop
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 2)])  # vertex out of range
-    with pytest.raises(ValueError):
-        IntersectionGraph(2, (0b10, 0b00))  # not symmetric
-    with pytest.raises(ValueError):
-        IntersectionGraph(2, (0b110, 0b001))  # bit 2 is no vertex
-    with pytest.raises(ValueError):
-        IntersectionGraph(2, (0b01, 0b00))  # loop
-    with pytest.raises(ValueError):
-        IntersectionGraph(2, (-2, 0b01))
-
-
-def test_graph_validation_matches_pairwise_definition():
-    # the bit-matrix transpose against the definition, on random matrices
-    rng = random.Random(421)
-    for n in [*range(0, 12), 27, 33, 40]:
-        for _ in range(30):
-            adj = [rng.getrandbits(n + 1) if rng.random() < 0.1 else 0 for _ in range(n)]
-            for a in range(n):
-                for b in range(a):
-                    if rng.random() < 0.4:
-                        adj[a] |= 1 << b
-                        adj[b] |= 1 << a
-            if n and rng.random() < 0.5:
-                a, b = rng.randrange(n), rng.randrange(n)
-                adj[a] ^= 1 << b  # may break symmetry or add a loop
-            valid = all(
-                0 <= row < 1 << n
-                and not row >> v & 1
-                and all((row >> u & 1) == (adj[u] >> v & 1) for u in range(n))
-                for v, row in enumerate(adj)
-            )
-            try:
-                IntersectionGraph(n, tuple(adj))
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == valid, (n, adj)
+    assert not is_simple_graph((0b10, 0b00))  # not symmetric
+    assert not is_simple_graph((0b110, 0b001))  # bit 2 is no vertex
+    assert not is_simple_graph((0b01, 0b00))  # loop
+    assert not is_simple_graph((-2, 0b01))
 
 
 def test_intersection_graph_matches_meet(ctx):
@@ -109,33 +76,34 @@ def test_intersection_graph_matches_meet(ctx):
     for rec in [*ctx.records[:40], *rng.sample(ctx.records, 200), ctx.records[-1]]:
         lines = rec.min_rep
         g = intersection_graph(rec.mask)
-        assert g.n == len(lines)
-        for a in range(g.n):
-            for b in range(g.n):
+        n = len(g)
+        assert n == len(lines)
+        for a in range(n):
+            for b in range(n):
                 meets = a != b and ctx.ls.meet(lines[a], lines[b]) == 1
-                assert (g.adj[a] >> b & 1) == meets
+                assert (g[a] >> b & 1) == meets
 
 
 def test_intersection_graph_vertices_follow_line_order():
     g = intersection_graph(mask_from_lines([1, 2, 7]))
     # vertex i is the i-th smallest line; 1 and 2 are skew, both meet 7
-    assert g.n == 3
-    assert g.adj == (0b100, 0b100, 0b011)
+    assert len(g) == 3
+    assert g == (0b100, 0b100, 0b011)
 
 
 def test_intersection_graph_star():
     g = intersection_graph(mask_from_lines([1, 2, 3, 4, 5, 27]))
     # line 27 meets each of 1..5 and the rest are pairwise skew
-    assert g.adj[5] == 0b011111
+    assert g[5] == 0b011111
     for i in range(5):
-        assert g.adj[i] == 1 << 5
+        assert g[i] == 1 << 5
 
 
 def test_relabel():
     g = graph_from_edges(3, [(0, 1)])
     # old vertex i becomes perm[i], so the edge lands on {2, 0}
     h = relabel(g, (2, 0, 1))
-    assert h.adj == (0b100, 0b000, 0b001)
+    assert h == (0b100, 0b000, 0b001)
     with pytest.raises(ValueError):
         relabel(g, (0, 0, 1))
 
@@ -216,11 +184,10 @@ def test_full_arrangement_certificate_is_stable():
 
 
 def test_pipeline_graphs_pass_the_graph_checks(ctx):
-    # intersection_graph builds its graphs without IntersectionGraph's
-    # checks; every graph of the pipeline passes them anyway
+    # the package checks no graph it builds; every graph of the pipeline
+    # is a simple graph by the definition
     for rec in ctx.records:
-        g = intersection_graph(rec.mask)
-        assert IntersectionGraph(g.n, g.adj) == g
+        assert is_simple_graph(intersection_graph(rec.mask)), rec
 
 
 def is_automorphism(adj, perm):
@@ -232,7 +199,7 @@ def test_stabilizer_automorphisms_are_automorphisms(ctx):
     assert len(seeds) == len(ctx.records)
     count = 0
     for rec, perms in zip(ctx.records, seeds):
-        adj = intersection_graph(rec.mask).adj
+        adj = intersection_graph(rec.mask)
         identity = list(range(len(adj)))
         assert len(perms) <= len(rec.stabilizer)
         for perm in perms:
@@ -321,7 +288,7 @@ def test_a_false_seed_changes_some_certificate(ctx):
     # automorphism prunes a subtree it must not. (A swap of two vertices of
     # different degree never lies within one cell, so it prunes nothing.)
     for rec, cert in zip(ctx.records[2:], ctx.certificates[2:]):  # past the empty set and one line
-        adj = intersection_graph(rec.mask).adj
+        adj = intersection_graph(rec.mask)
         full = (1 << len(adj)) - 1
         cell = next((c for c in graphs._refine(adj, [full], full) if c & (c - 1)), 0)
         if not cell:
@@ -354,6 +321,19 @@ def test_classify_types_accepts_precomputed_certificates():
     records = enumerate_all(group, max_n=2)
     certs = [canonical_certificate(intersection_graph(r.mask)) for r in records]
     assert classify_types(records, certs) == classify_types(records)
+
+
+def test_certificates_of_another_length_raise():
+    # one certificate per record: a short or long list is refused, never
+    # cut to the shorter of the two
+    group = weyl_group()
+    records = enumerate_all(group, max_n=2)
+    certs = record_certificates(records, group)
+    for wrong in (certs[:-1], certs + certs[:1]):
+        with pytest.raises(ValueError):
+            classify_types(records, wrong)
+        with pytest.raises(ValueError):
+            find_zariski_pairs(records, wrong)
 
 
 def test_find_zariski_pairs_on_full_table(ctx):
@@ -400,10 +380,10 @@ def test_canonical_order_realizes_the_certificate(ctx):
     rng = random.Random(426)
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5, 0.8]))
-        assert canonical_certificate(g) == f"{g.n}:{packed_hex(g.adj, canonical_order(g))}"
+        assert canonical_certificate(g) == f"{len(g)}:{packed_hex(g, canonical_order(g))}"
     # the string the search keeps for its leaf is the one that leaf spells
     for rec in ctx.records:
-        adj = intersection_graph(rec.mask).adj
+        adj = intersection_graph(rec.mask)
         cells, string = graphs._canonical_leaf(adj)
         assert string == graphs._adjacency_string(adj, cells)
 
