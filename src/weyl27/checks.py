@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lattice
 from .expectations import Expectations, load_expectations
-from .graphs import canonical_certificate, find_zariski_pairs, record_certificates
+from .graphs import canonical_certificate, find_zariski_pairs, record_types
 from .invariants import invariant_report, invariant_reports
 from .lines import (
     LINE_COUNT,
@@ -65,12 +65,19 @@ class CheckResult:
 
 @dataclass
 class PipelineContext:
-    """Everything the checks need, computed once."""
+    """Everything the checks need, computed once.
+
+    types holds one type string per record, from record_types: equal
+    strings iff isomorphic intersection graphs. A record whose
+    colour-refinement key another record shares gets its certificate, so
+    every fiber of size > 1 carries certificates; any other record gets a
+    key that no certificate equals.
+    """
 
     ls: LineSystem
     group: PermutationGroup
     records: list[OrbitRecord]
-    certificates: list[str]
+    types: list[str]
     reports: list
     workers: int
     lines_seconds: float
@@ -96,13 +103,13 @@ def build_context(workers: int) -> PipelineContext:
     records = enumerate_all(group, workers=workers)
     enum_seconds = time.perf_counter() - t0
 
-    certificates = record_certificates(records, group)
+    types = record_types(records, group)
     reports = invariant_reports(records)
     return PipelineContext(
         ls=ls,
         group=group,
         records=records,
-        certificates=certificates,
+        types=types,
         reports=reports,
         workers=workers,
         lines_seconds=lines_seconds,
@@ -217,7 +224,7 @@ def _partition(ctx: PipelineContext, exp: Expectations) -> list[str]:
 
 def _fibers(ctx: PipelineContext, exp: Expectations) -> list[str]:
     problems = []
-    fibers = find_zariski_pairs(ctx.records, ctx.certificates)
+    fibers = find_zariski_pairs(ctx.records, ctx.types)
     if len(fibers) != len(exp.zariski_pairs):
         problems.append(f"{len(fibers)} fibers of size > 1, expected {len(exp.zariski_pairs)}")
     for fiber, want in zip(fibers, exp.zariski_pairs):
@@ -426,8 +433,8 @@ def _properties(ctx: PipelineContext, exp: Expectations) -> list[str]:
 
 def _corollary(ctx: PipelineContext, exp: Expectations) -> list[str]:
     classes = len({
-        (cert, rep.perp_parity, rep.h1_torsion, rep.h1_free_rank)
-        for cert, rep in zip(ctx.certificates, ctx.reports)
+        (name, rep.perp_parity, rep.h1_torsion, rep.h1_free_rank)
+        for name, rep in zip(ctx.types, ctx.reports)
     })
     if classes == len(ctx.records):
         return []

@@ -227,7 +227,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_pairs(cfg: RunConfig) -> int:
     exp = load_expectations()
     ctx = build_context(workers=cfg.workers)
-    fibers = find_zariski_pairs(ctx.records, ctx.certificates)
+    fibers = find_zariski_pairs(ctx.records, ctx.types)
     checks = pair_checks(ctx, exp)
     match = all(r.passed for r in checks)
     corollary = checks[-1].passed

@@ -49,14 +49,39 @@ class ExpectationsError(ValueError):
     """The expectations file is not valid JSON or lacks what the checks read."""
 
 
-def _per_member(entry: dict, key: str, members: tuple, where: str) -> tuple | None:
+def _is_int(value) -> bool:
+    """Whether value is a JSON integer: 51840.0, "51840" and true are not,
+    although the first and last compare equal to an int."""
+    return type(value) is int
+
+
+def _integer(raw: dict, key: str, source: str) -> int:
+    if not _is_int(raw[key]):
+        raise ExpectationsError(f"{source}: {key} needs an integer, not {raw[key]!r}")
+    return raw[key]
+
+
+def _integers(raw: dict, key: str, source: str) -> tuple[int, ...]:
+    values = raw[key]
+    if not isinstance(values, list) or not all(map(_is_int, values)):
+        raise ExpectationsError(f"{source}: {key} needs a list of integers")
+    return tuple(values)
+
+
+def _is_torsion(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _per_member(entry: dict, key: str, members: tuple, where: str, valid) -> tuple | None:
     """entry[key] as a tuple of one value per member, lists made tuples;
-    None when the key is absent or null."""
+    None when the key is absent or null. Every value must pass valid."""
     values = entry.get(key)
     if values is None:
         return None
     if not isinstance(values, list) or len(values) != len(members):
         raise ExpectationsError(f"{where}: {key} needs one entry per member ({len(members)})")
+    if not all(map(valid, values)):
+        raise ExpectationsError(f"{where}: {key} has an entry of the wrong type")
     return tuple(tuple(v) if isinstance(v, list) else v for v in values)
 
 
@@ -64,7 +89,7 @@ def _parse(raw, source: str) -> Expectations:
     missing = [f.name for f in fields(Expectations) if f.name not in raw]
     if missing:
         raise ExpectationsError(f"{source}: missing {', '.join(missing)}")
-    orbit_counts = tuple(raw["orbit_counts"])
+    orbit_counts = _integers(raw, "orbit_counts", source)
     if len(orbit_counts) != LINE_COUNT + 1:
         raise ExpectationsError(
             f"{source}: orbit_counts needs one entry per size 0..{LINE_COUNT} ({LINE_COUNT + 1})"
@@ -80,26 +105,28 @@ def _parse(raw, source: str) -> Expectations:
                 raise ExpectationsError(
                     f"{where}: member {list(member)} needs distinct lines in 1..{LINE_COUNT}"
                 )
-        orbit_sizes = _per_member(entry, "orbit_sizes", members, where)
+        orbit_sizes = _per_member(entry, "orbit_sizes", members, where, _is_int)
         if orbit_sizes is None:
             raise ExpectationsError(f"{where}: missing orbit_sizes")
         pairs.append(
             PairExpectation(
                 members=members,
                 orbit_sizes=orbit_sizes,
-                perp_parity=_per_member(entry, "perp_parity", members, where),
-                h1_torsion=_per_member(entry, "h1_torsion", members, where),
-                h1_free_rank=_per_member(entry, "h1_free_rank", members, where),
+                perp_parity=_per_member(
+                    entry, "perp_parity", members, where, lambda v: isinstance(v, str)
+                ),
+                h1_torsion=_per_member(entry, "h1_torsion", members, where, _is_torsion),
+                h1_free_rank=_per_member(entry, "h1_free_rank", members, where, _is_int),
             )
         )
     return Expectations(
-        group_order=int(raw["group_order"]),
+        group_order=_integer(raw, "group_order", source),
         generator_cycles=tuple(raw["generator_cycles"]),
         orbit_counts=orbit_counts,
-        total_orbits=int(raw["total_orbits"]),
-        power_set_size=int(raw["power_set_size"]),
+        total_orbits=_integer(raw, "total_orbits", source),
+        power_set_size=_integer(raw, "power_set_size", source),
         zariski_pairs=tuple(pairs),
-        disjoint_five_orbit_sizes=tuple(raw["disjoint_five_orbit_sizes"]),
+        disjoint_five_orbit_sizes=_integers(raw, "disjoint_five_orbit_sizes", source),
     )
 
 

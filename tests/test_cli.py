@@ -342,6 +342,40 @@ MALFORMED_EXPECTATIONS = {
         _edited(lambda raw: raw["zariski_pairs"][1]["members"][0].__setitem__(0, 0)),
         "zariski pair 2: member [0, 2, 3, 4, 5, 27] needs distinct lines in 1..27",
     ),
+    # numbers of another JSON type: each compares equal to an int, or int()
+    # would read it as one, so a check could pass against it
+    "float-group-order": (
+        _edited(lambda raw: raw.update(group_order=51840.7)),
+        "group_order needs an integer, not 51840.7",
+    ),
+    "string-group-order": (
+        _edited(lambda raw: raw.update(group_order="51840")),
+        "group_order needs an integer, not '51840'",
+    ),
+    "float-total-orbits": (
+        _edited(lambda raw: raw.update(total_orbits=5486.9)),
+        "total_orbits needs an integer, not 5486.9",
+    ),
+    "bool-power-set-size": (
+        _edited(lambda raw: raw.update(power_set_size=True)),
+        "power_set_size needs an integer, not True",
+    ),
+    "float-orbit-counts": (
+        _edited(lambda raw: raw.update(orbit_counts=[float(c) for c in raw["orbit_counts"]])),
+        "orbit_counts needs a list of integers",
+    ),
+    "float-disjoint-five-sizes": (
+        _edited(lambda raw: raw.update(disjoint_five_orbit_sizes=[432.0, 216.0])),
+        "disjoint_five_orbit_sizes needs a list of integers",
+    ),
+    "float-pair-orbit-sizes": (
+        _edited(lambda raw: raw["zariski_pairs"][0].update(orbit_sizes=[432.0, 216.0])),
+        "zariski pair 1: orbit_sizes has an entry of the wrong type",
+    ),
+    "float-h1-torsion": (
+        _edited(lambda raw: raw["zariski_pairs"][1].update(h1_torsion=[[2.0], []])),
+        "zariski pair 2: h1_torsion has an entry of the wrong type",
+    ),
 }
 
 

@@ -4,8 +4,8 @@ Each case runs the CLI in-process, once writing to stdout and once with
 --output, and compares the exit code and the digests of stdout, stderr and
 the --output bytes with golden_cli.json. Full outputs reach a megabyte
 (classify as JSON), so the file holds digests, not outputs. The pipeline
-commands reuse the session ctx, and its certificates, through the CLI's
-module bindings. A deliberate output change is pinned by writing run_case's
+commands reuse the session ctx, and the session certificates, through the
+CLI's module bindings. A deliberate output change is pinned by writing run_case's
 result for every case, under the same bindings, into golden_cli.json.
 """
 
@@ -71,7 +71,7 @@ def results(ctx):
 
 
 @pytest.fixture
-def pipeline(ctx, results, monkeypatch):
+def pipeline(ctx, certificates, results, monkeypatch):
     """The CLI with its pipeline stages answered from the session ctx."""
     monkeypatch.delenv("WEYL27_EXPECTATIONS", raising=False)
     monkeypatch.setattr(cli, "build_context", lambda workers=1: ctx)
@@ -84,7 +84,7 @@ def pipeline(ctx, results, monkeypatch):
     )
     monkeypatch.setattr(cli, "run_all", lambda workers=1: results)
     monkeypatch.setattr(
-        cli, "classify_types", lambda records: classify_types(records, ctx.certificates)
+        cli, "classify_types", lambda records: classify_types(records, certificates)
     )
 
 

@@ -4,10 +4,11 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from oracles import apply_perm, graph_from_edges, is_simple_graph, relabel
-from weyl27 import graphs
+from weyl27 import checks, graphs
 from weyl27.graphs import (
     canonical_certificate,
     classify_types,
@@ -16,7 +17,7 @@ from weyl27.graphs import (
     record_certificates,
     stabilizer_automorphisms,
 )
-from weyl27.lines import weyl_group
+from weyl27.lines import build_line_system, weyl_group
 from weyl27.orbits import OrbitRecord, enumerate_all, mask_from_lines
 
 # sha256 of the 5486 certificates in record order, joined by newlines
@@ -269,12 +270,12 @@ def test_symmetric_graphs_take_few_refinements(name, monkeypatch):
     assert len(calls) <= most
 
 
-def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
+def test_seeded_and_unseeded_certificates_agree(ctx, certificates, monkeypatch):
     calls = count_refinements(monkeypatch, cap=14683 + 24533)
     seeded = record_certificates(ctx.records, ctx.group)
     seeded_calls = len(calls)
     unseeded = [canonical_certificate(intersection_graph(r.mask)) for r in ctx.records]
-    assert seeded == unseeded == ctx.certificates
+    assert seeded == unseeded == certificates
     digest = hashlib.sha256("\n".join(seeded).encode()).hexdigest()
     assert digest == CERTIFICATES_SHA256
     # the seeds spare refinements: 24533 unseeded, 14683 with four rows each
@@ -282,12 +283,12 @@ def test_seeded_and_unseeded_certificates_agree(ctx, monkeypatch):
     assert 16000 < len(calls) - seeded_calls <= 24533
 
 
-def test_a_false_seed_changes_some_certificate(ctx):
+def test_a_false_seed_changes_some_certificate(ctx, certificates):
     # the seeded search trusts its seeds, so the equality above can fail: a
     # swap of two vertices of the root's first non-singleton cell that is no
     # automorphism prunes a subtree it must not. (A swap of two vertices of
     # different degree never lies within one cell, so it prunes nothing.)
-    for rec, cert in zip(ctx.records[2:], ctx.certificates[2:]):  # past the empty set and one line
+    for rec, cert in zip(ctx.records[2:], certificates[2:]):  # past the empty set and one line
         adj = intersection_graph(rec.mask)
         full = (1 << len(adj)) - 1
         cell = next((c for c in graphs._refine(adj, [full], full) if c & (c - 1)), 0)
@@ -337,7 +338,7 @@ def test_certificates_of_another_length_raise():
 
 
 def test_find_zariski_pairs_on_full_table(ctx):
-    fibers = find_zariski_pairs(ctx.records, ctx.certificates)
+    fibers = find_zariski_pairs(ctx.records, ctx.types)
     assert len(fibers) == 2
     fibers = sorted(fibers, key=lambda f: f.members[0].n)
     first, second = fibers
@@ -398,7 +399,7 @@ def _is_equitable(adj, cells):
     return True
 
 
-def test_refined_partitions_are_equitable(ctx, monkeypatch):
+def test_refined_partitions_are_equitable(ctx, certificates, monkeypatch):
     # _refine has no final sweep: every partition it hands the search, on
     # every arrangement's graph, must already be equitable
     refine = graphs._refine
@@ -413,17 +414,17 @@ def test_refined_partitions_are_equitable(ctx, monkeypatch):
         return out
 
     monkeypatch.setattr(graphs, "_refine", checked)
-    for rec, cert in zip(ctx.records, ctx.certificates):
+    for rec, cert in zip(ctx.records, certificates):
         assert canonical_certificate(intersection_graph(rec.mask)) == cert
     assert len(seen) > len(ctx.records)
 
 
-def test_certificate_invariant_at_every_n(ctx):
+def test_certificate_invariant_at_every_n(ctx, certificates):
     # for every n, a relabeled graph and the graph of a moved arrangement
     # get the arrangement's certificate
     rng = random.Random(427)
     by_n = {}
-    for rec, cert in zip(ctx.records, ctx.certificates):
+    for rec, cert in zip(ctx.records, certificates):
         by_n.setdefault(rec.n, []).append((rec, cert))
     assert sorted(by_n) == list(range(28))
     elements = ctx.group.elements
@@ -436,3 +437,79 @@ def test_certificate_invariant_at_every_n(ctx):
             element = [int(x) for x in elements[rng.randrange(len(elements))]]
             moved = apply_perm(rec.mask, element)
             assert canonical_certificate(intersection_graph(moved)) == cert
+
+
+# ---------------------------------------------------------------- type keys
+
+
+def adjacency_matrix(adj):
+    """The 0/1 int64 adjacency matrix of a graph given by neighbour masks."""
+    return np.array([[row >> w & 1 for w in range(len(adj))] for row in adj], dtype=np.int64)
+
+
+def line_keys(masks):
+    """The type key of each arrangement, over the 27 lines' adjacency."""
+    members = np.array([[m >> i & 1 for i in range(27)] for m in masks], dtype=np.int64)
+    lines = adjacency_matrix(build_line_system().neighbour_masks)
+    return graphs._type_keys(members, lines).tolist()
+
+
+def test_type_key_invariant_at_every_n(ctx):
+    # for every n, the graph cut to its vertices in a random order, and the
+    # arrangement moved by a random group element, get the record's key
+    rng = random.Random(428)
+    by_n = {}
+    for rec in ctx.records:
+        by_n.setdefault(rec.n, []).append(rec)
+    assert sorted(by_n) == list(range(28))
+    elements = ctx.group.elements
+    for n, recs in sorted(by_n.items()):
+        sample = rng.sample(recs, min(20, len(recs)))
+        keys = line_keys([rec.mask for rec in sample])
+        for rec, key in zip(sample, keys):
+            g = intersection_graph(rec.mask)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = adjacency_matrix(relabel(g, perm))
+                assert graphs._type_keys(np.ones((1, n), np.int64), h).tolist() == [key]
+        moved = [
+            apply_perm(rec.mask, [int(x) for x in elements[rng.randrange(len(elements))]])
+            for rec in sample
+        ]
+        assert line_keys(moved) == keys
+
+
+def test_type_partition_equals_the_certificate_partition(ctx, certificates):
+    by_type = classify_types(ctx.records, ctx.types)
+    assert list(by_type.values()) == list(classify_types(ctx.records, certificates).values())
+    assert len(by_type) == 5484
+    # a type string is the record's certificate, or "<n>~<hex>" beside it
+    for rec, name, cert in zip(ctx.records, ctx.types, certificates):
+        lone = f"{rec.n}~"
+        assert name == cert or (name.startswith(lone) and len(name) == len(lone) + 16)
+
+
+def test_fibers_of_type_keys_carry_their_members_certificates(ctx):
+    fibers = find_zariski_pairs(ctx.records, ctx.types)
+    assert len(fibers) == 2
+    for fiber in fibers:
+        for rec in fiber.members:
+            assert canonical_certificate(intersection_graph(rec.mask)) == fiber.certificate
+
+
+def test_build_context_searches_only_records_of_shared_keys(ctx, monkeypatch):
+    searched = []
+    certify = graphs.canonical_certificate
+
+    def counted(adj, automorphisms=()):
+        searched.append(len(adj))
+        return certify(adj, automorphisms)
+
+    monkeypatch.setattr(graphs, "canonical_certificate", counted)
+    monkeypatch.setattr(checks, "enumerate_all", lambda group, workers=1: ctx.records)
+    rebuilt = checks.build_context(workers=1)
+    assert rebuilt.types == ctx.types
+    # 266 records share their key with another record; 4 of them make up
+    # the 2 types of two records
+    assert len(searched) == sum(":" in name for name in ctx.types) <= 266

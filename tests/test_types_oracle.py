@@ -28,7 +28,7 @@ def adjacency(lines, inter):
     ]
 
 
-def test_type_partition_by_colour_refinement_and_search(ctx):
+def test_type_partition_by_colour_refinement_and_search(ctx, certificates):
     inter = ctx.ls.inter
     names = {}
     graphs, colours = [], []
@@ -70,6 +70,6 @@ def test_type_partition_by_colour_refinement_and_search(ctx):
     assert fibers == EXPECTED_FIBERS
     # the same partition as the certificates'
     by_certificate = defaultdict(set)
-    for i, cert in enumerate(ctx.certificates):
+    for i, cert in enumerate(certificates):
         by_certificate[cert].add(i)
     assert sorted(map(sorted, by_certificate.values())) == sorted(map(sorted, classes))
