@@ -68,21 +68,23 @@ _DECODE_CHUNK = 256
 
 
 def stabilizer_automorphisms(
-    records: Sequence[OrbitRecord], tbl: np.ndarray
+    records: Sequence[OrbitRecord], group: PermutationGroup
 ) -> Iterator[list[list[int]]]:
     """Each record's stabilizer rows as automorphisms of its intersection
     graph, record by record.
 
-    tbl is laid out as PermutationGroup.rev_table: row r sends line i to
-    line degree - tbl[r, i].bit_length(). Restricted to the arrangement S
+    Rows number the table of group.coset_tables: row p * B + h is t_p
+    followed by h, so it sends line i to elements[h, coset[i, p]], two
+    integer lookups. Restricted to the arrangement S
     and relabelled to vertex order, a row that maps S onto itself is an
     automorphism of G[S], since the group preserves which lines meet. Rows
     that fix every vertex are dropped, and so is any row that does not map
     S onto itself, which only a record made over another table can hold.
     The rows are decoded in numpy, a bounded chunk of records at a time.
     """
-    degree = tbl.shape[1]
-    points = np.arange(degree)
+    _, coset = group.coset_tables
+    block = group.order // group.degree
+    points = np.arange(group.degree)
     for start in range(0, len(records), _DECODE_CHUNK):
         part = records[start : start + _DECODE_CHUNK]
         rows = [row for r in part for row in r.stabilizer]
@@ -90,8 +92,8 @@ def stabilizer_automorphisms(
         inside = np.array([r.mask for r in part], dtype=np.int64)[:, None] >> points & 1
         # vertex[k, i]: the vertex of line i in row k's arrangement, or -1
         vertex = np.where(inside, inside.cumsum(axis=1) - 1, -1)[owner]
-        # frexp reads an entry 2**(degree - 1 - j) as exponent degree - j
-        images = degree - np.frexp(tbl[rows])[1]
+        p, h = np.divmod(np.array(rows, dtype=np.intp), block)
+        images = group.elements[h[:, None], coset.T[p]]
         mapped = np.take_along_axis(vertex, images, axis=1)
         on = vertex >= 0
         ok = ((mapped >= 0) | ~on).all(axis=1) & ((mapped != vertex) & on).any(axis=1)
@@ -104,10 +106,10 @@ def stabilizer_automorphisms(
 
 def record_certificates(records: Sequence[OrbitRecord], group: PermutationGroup) -> list[str]:
     """canonical_certificate of each record's graph, in order, seeded with
-    the stabilizer_automorphisms of its rows in group.rev_table."""
+    the stabilizer_automorphisms of its rows."""
     return [
         canonical_certificate(intersection_graph(r.mask), seeds)
-        for r, seeds in zip(records, stabilizer_automorphisms(records, group.rev_table))
+        for r, seeds in zip(records, stabilizer_automorphisms(records, group))
     ]
 
 
@@ -116,7 +118,7 @@ def record_types(records: Sequence[OrbitRecord], group: PermutationGroup) -> lis
     strings iff their intersection graphs are isomorphic.
 
     Records whose _type_keys key another record shares get their
-    record_certificates certificate, seeded from group.rev_table. Any other
+    record_certificates certificate, seeded from its stabilizer rows. Any other
     record is alone in its type and gets "<n>~<key in hex>", which no
     certificate ("<n>:<hex>") equals. So every type of more than one record
     is named by its certificate.

@@ -183,7 +183,14 @@ def standard_generators() -> tuple[Perm, ...]:
 
 
 class PermutationGroup:
-    """A finite permutation group stored as a dense, lex-sorted element table."""
+    """A finite permutation group stored as a dense, lex-sorted element table.
+
+    The orbit scans read the group through coset_tables: the stabilizer H
+    of point 0 and one element t_p per point p with t_p(p) = 0. A
+    transitive group is the union over p of the cosets {t_p followed by h :
+    h in H}, so those two small tables stand for the whole group, in the
+    order the scans use.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: np.ndarray):
         self.degree = degree
@@ -192,32 +199,41 @@ class PermutationGroup:
         self.order = int(elements.shape[0])
 
     @cached_property
-    def rev_table(self) -> np.ndarray:
-        """Per-element bit-reversal lookup for the orbit scans, as int32.
+    def coset_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stab, coset): the group factored through the stabilizer of point 0.
 
-        Entry [r, i] is 2**(degree - 1 - j) where j is point i's image under
-        the element of row r. Rows are ordered by the point each element
-        sends to point 0: block p, rows [p * B, (p + 1) * B) with
-        B = order // degree, holds exactly the elements g with g(p) = 0.
-        Within a block the rows keep the lex order of the element table, so
-        row 0 is the identity. The table is stored column-major, so the
-        scans, which sum columns, read each point's column contiguously. A
-        key is a sum of distinct entries of one row, at most 2**degree - 1,
-        which is exact in int32 for degree <= 31. The blocks are all the
-        same size exactly when the group is transitive; otherwise this
+        stab is int32 of shape (degree, B), B = order // degree: stab[j, h]
+        is 2**(degree - 1 - h(j)) for the h-th element of the stabilizer of
+        point 0 in lex order, which are the first B rows of the lex-sorted
+        element table, the identity first. coset is intp of shape
+        (degree, degree): coset[c, p] = t_p(c) for t_p the lex-first element
+        with t_p(p) = 0. Together they lay the group out as a virtual table
+        of B rows per point: row p * B + h is t_p followed by h, and sends
+        point c to the image whose bit stab[coset[c, p], h] holds. Block p
+        is then exactly the elements that send p to point 0, and row 0 is
+        the identity. stab[coset[c, p]] is one contiguous row, so a scan
+        gathers point c's keys over block p in one fancy index. A key is a
+        sum of distinct entries of one row, at most 2**degree - 1, which is
+        exact in int32 for degree <= 31. The cosets cover the group only
+        when it is transitive; a group of larger degree, an intransitive
+        group, or an element table that does not start with the identity
         raises ValueError, because the block-pruned scans of the orbit
         enumeration would be unsound.
         """
         if self.degree > 31:
             raise ValueError("rev keys need degree <= 31 to fit in int32")
-        first = self.elements[0]
-        if not all(int(first[i]) == i for i in range(self.degree)):
-            raise AssertionError("element table must start with the identity")
-        to_zero = np.argmax(self.elements == 0, axis=1)
-        if np.any(np.bincount(to_zero, minlength=self.degree) != self.order // self.degree):
-            raise ValueError("rev table blocks need a transitive group")
-        images = self.elements[np.argsort(to_zero, kind="stable")].T.copy()
-        return np.left_shift(1, self.degree - 1 - images, dtype=np.int32).T
+        points = np.arange(self.degree)
+        if not np.array_equal(self.elements[0], points):
+            raise ValueError("element table must start with the identity")
+        first = np.argmax(self.elements == 0, axis=0)  # the lex-first t_p
+        if np.any(self.elements[first, points] != 0):
+            raise ValueError("coset tables need a transitive group")
+        block = self.order // self.degree
+        images = self.elements[:block].T.copy()
+        stab = np.left_shift(1, self.degree - 1 - images, dtype=np.int32)
+        coset = np.ascontiguousarray(self.elements[first].T, dtype=np.intp)
+        stab.flags.writeable = coset.flags.writeable = False  # shared by every caller
+        return stab, coset
 
 
 def _row_set(table: np.ndarray) -> set[bytes]:

@@ -12,21 +12,25 @@ The hot path relies on one fact: for equal-size masks A and B,
 where rev(S) = sum over i in S of 2**(degree - 1 - i). Reversing the bit
 significance turns "smallest leading element wins" into plain integer
 comparison, so a mask is a lex-least representative exactly when rev of its
-image is maximal at the identity. That check vectorizes over the dense group
-element table. The same scan yields the orbit length: |W| divided by the
-number of rows whose key equals the identity row's (the stabilizer order).
+image is maximal at the identity. That check vectorizes over the group's
+elements, one key per element. The same scan yields the orbit length: |W|
+divided by the number of elements whose key equals the identity's (the
+stabilizer order).
 
-The enumeration scans only part of the table. The group is transitive, so
+The enumeration scans only part of the group. The group is transitive, so
 every orbit of nonempty arrangements has a member containing line 1, and
 that member outranks every arrangement without line 1: a nonempty minimal
 representative contains line 1. An image g(S) can then beat S only if it
 contains line 1, that is, only if g(p) = line 1 for some p in S, and every
-g that fixes S also sends some p in S to line 1. PermutationGroup.rev_table
-stores those elements as blocks, one per p (the coset of the stabilizer of
-line 1 that maps p there), so a child S is scanned over its |S| blocks
-rather than over the whole group. This is the first step of Linton's
-stabilizer-chain search for the smallest image of a set. It needs a
-transitive group; rev_table refuses any other.
+g that fixes S also sends some p in S to line 1. The elements that send p
+to line 1 are one coset: an element t_p that does, followed by each element
+of the stabilizer of line 1, W(D5) of order 1920. PermutationGroup's
+coset_tables stores the group in that factored form, stab for the
+stabilizer and coset for the t_p, and the scans read it as blocks, one per
+p, so a child S is scanned over its |S| blocks rather than over the whole
+group. Point c's keys over block p are the row stab[coset[c, p]]. This is the
+first step of Linton's stabilizer-chain search for the smallest image of a
+set. It needs a transitive group; coset_tables refuses any other.
 
 The minimal representatives form a tree: a child adds one line past its
 parent's last. One walker, _walk, visits it depth first from lex-sorted
@@ -112,11 +116,14 @@ def _unrev(key: int, degree: int) -> int:
 
 
 def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
-    return group.rev_table[:, _checked_bits(mask, group.degree)].sum(axis=1)
+    """The key of the mask's image under every element, in block order,
+    the identity's first."""
+    stab, coset = group.coset_tables
+    return stab[coset[list(_checked_bits(mask, group.degree))]].sum(axis=0).ravel()
 
 
 def orbit_size(mask: int, group: PermutationGroup) -> int:
-    """Orbit length via the stabilizer count over the full element table."""
+    """Orbit length via the stabilizer count over the whole group."""
     keys = _orbit_keys(mask, group)
     stab = int(np.count_nonzero(keys == keys[0]))
     return group.order // stab
@@ -129,8 +136,8 @@ def orbit_masks(mask: int, group: PermutationGroup) -> list[int]:
 
 
 # Stabilizer rows kept per record: seeds for graphs.canonical_certificate.
-# Over the 5486 graphs the search ran 24533 refinements unseeded, 15765
-# with the first 2 rows, 14683 with 4 and 13663 with 8, and 12859 with the
+# Over the 5486 graphs the search ran 24533 refinements unseeded, 15748
+# with the first 2 rows, 14710 with 4 and 13675 with 8, and 12859 with the
 # whole stabilizer. Timed in one process, graphs and certificates took
 # 0.95 s unseeded, 0.75 s with 2 rows, 0.72 s with 4 and 0.70 s with 8:
 # past 4, twice the rows held on the records buy no clear time.
@@ -144,18 +151,19 @@ def _scan(
     idx: tuple[int, ...],
     keys: np.ndarray,
     new_keys: np.ndarray,
-    cols: np.ndarray,
-    tbl: np.ndarray,
+    stab: np.ndarray,
+    coset: np.ndarray,
     seeds: tuple[int, ...],
 ) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple[int, ...]]]:
     """The scan rule of one nonempty minimal parent with line indices idx.
 
-    seeds are rows of tbl, other than the identity, that fix the parent's
-    set. A candidate c past the parent's last line that one of them sends
-    to a smaller line is skipped before any key is summed: that row g maps
-    the child onto P + {g(c)}, which is lex-smaller, so the child is not
-    minimal and the scan would reject it. In tbl that test reads
-    tbl[r, c] > tbl[0, c].
+    stab and coset are PermutationGroup.coset_tables. seeds are rows of
+    their table, other than the identity, that fix the parent's set. A
+    candidate c past the parent's last line that one of them sends to a
+    smaller line is skipped before any key is summed: that row g maps the
+    child onto P + {g(c)}, which is lex-smaller, so the child is not
+    minimal and the scan would reject it. For row r = p * B + h that test
+    reads stab[coset[c, p], h] > stab[c, 0].
 
     keys[k] holds the parent's keys over the rows of block idx[k], the
     blocks of its own lines. Every remaining candidate c scans those
@@ -171,10 +179,12 @@ def _scan(
     """
     first_cand = idx[-1] + 1
     block = new_keys.shape[1]
-    cands = np.arange(first_cand, tbl.shape[1])
+    cands = np.arange(first_cand, len(coset))
     if seeds:
-        cands = cands[(tbl[seeds, first_cand:] <= tbl[0, first_cand:]).all(axis=0)]
-    cand_keys = cols[cands[:, None], idx]  # one gather, then the sum in place
+        p, h = np.divmod(seeds, block)
+        images = stab[coset[first_cand:, p], h]  # [candidate, seed]
+        cands = cands[(images <= stab[first_cand:, :1]).all(axis=1)]
+    cand_keys = stab[coset[cands[:, None], idx]]  # one gather, then the sum in place
     cand_keys += keys
     cand_keys = cand_keys.reshape(len(cands), len(idx) * block)
     own_keys = cand_keys[:, 0]
@@ -205,25 +215,26 @@ class WorkerError(RuntimeError):
     """A pool cannot fork, a task raised, or a worker died; the message names why."""
 
 
-# (rev_table, degree) in a pool worker, set by _pool_init; None in the parent.
-_worker_table: tuple[np.ndarray, int] | None = None
+# The group's coset_tables in a pool worker, set by _pool_init; None in the parent.
+_worker_tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _pool_init(tbl: np.ndarray, degree: int) -> None:
-    global _worker_table
-    _worker_table = tbl, degree
+def _pool_init(stab: np.ndarray, coset: np.ndarray) -> None:
+    global _worker_tables
+    _worker_tables = stab, coset
 
 
 def _pool_extend(parents: Sequence[int]) -> list[OrbitRecord]:
-    return _walk(parents, *_worker_table, parents[0].bit_count() + 1)
+    return _walk(parents, *_worker_tables, parents[0].bit_count() + 1)
 
 
 @dataclass(frozen=True)
 class OrbitRecord:
     """One orbit: its lex-least arrangement and the orbit length.
 
-    stabilizer holds up to STABILIZER_SEEDS rows of the enumerating group's
-    rev_table, other than the identity, whose elements map the arrangement
+    stabilizer holds up to STABILIZER_SEEDS rows of the table that the
+    enumerating group's coset_tables lay out (row p * B + h is t_p followed
+    by h), other than the identity, whose elements map the arrangement
     onto itself; empty when the record was not made by the walker. It is a
     hint for the certificate search, so equality and output ignore it.
     """
@@ -245,14 +256,15 @@ class OrbitRecord:
 
 
 def _walk(
-    parents: Sequence[int], tbl: np.ndarray, degree: int, limit: int
+    parents: Sequence[int], stab: np.ndarray, coset: np.ndarray, limit: int
 ) -> list[OrbitRecord]:
     """Descendants with at most limit lines of lex-sorted minimal parents
     of one size, sorted by (size, lex).
 
-    tbl is laid out as PermutationGroup.rev_table. Root by root, a parent's
-    keys over its own blocks and over its candidates' blocks are computed
-    afresh and its subtree is walked depth first. A root's stabilizer rows
+    stab and coset are PermutationGroup.coset_tables: point c's keys over
+    block p are stab[coset[c, p]]. Root by root, a parent's keys over its
+    own blocks and over its candidates' blocks are computed afresh and its
+    subtree is walked depth first. A root's stabilizer rows
     are the first STABILIZER_SEEDS ties past the identity in its own keys,
     the rows the walk from {line 1} gives its record; a child's are its
     record's. Both travel on the stack with the node, and _scan prunes the
@@ -271,9 +283,8 @@ def _walk(
     the empty one included, raises ValueError: only nonempty minimal
     parents have their children in these blocks.
     """
-    order = tbl.shape[0]
-    block = order // degree
-    cols = tbl.T.reshape(degree, degree, block)  # [point, block, row in block]
+    degree, block = stab.shape
+    order = degree * block
     top = 1 << (degree - 1)
     levels: list[list[OrbitRecord]] = [[] for _ in range(limit + 1)]
     for root in parents:
@@ -282,8 +293,8 @@ def _walk(
             raise ValueError(f"{list(lines_of_mask(root))} lacks line 1: not a nonempty minimal parent")
         if len(idx) >= limit or idx[-1] + 1 >= degree:
             continue
-        keys = cols[np.ix_(idx, idx)].sum(axis=0, dtype=np.int32)
-        new_keys = cols[idx, idx[-1] + 1 :].sum(axis=0, dtype=np.int32) + top
+        keys = stab[coset[np.ix_(idx, idx)]].sum(axis=0, dtype=np.int32)
+        new_keys = stab[coset[idx, idx[-1] + 1 :]].sum(axis=0, dtype=np.int32) + top
         seeds = _stabilizer_rows(idx, np.flatnonzero(keys.ravel() == keys[0, 0]), block)
         stack = [(root, idx, keys, new_keys, -1, seeds)]
         while stack:
@@ -291,16 +302,16 @@ def _walk(
             if at >= 0:  # a child: its parent's keys plus its own column
                 line = idx[-1]
                 if len(keys) < len(idx):  # it holds its parent's keys
-                    keys = np.concatenate((keys + cols[line, idx[:-1]], new_keys[at][None]))
-                new_keys = new_keys[at + 1 :] + cols[line, line + 1 :]
-            lines, cand_keys, kept, stabs, rows = _scan(idx, keys, new_keys, cols, tbl, seeds)
+                    keys = np.concatenate((keys + stab[coset[line, idx[:-1]]], new_keys[at][None]))
+                new_keys = new_keys[at + 1 :] + stab[coset[line, line + 1 :]]
+            lines, cand_keys, kept, stabs, rows = _scan(idx, keys, new_keys, stab, coset, seeds)
             n = len(idx) + 1
             first_cand = idx[-1] + 1
             visit = []
-            for k, stab, child_seeds in zip(kept, stabs, rows):
+            for k, count, child_seeds in zip(kept, stabs, rows):
                 line = lines[k]
                 child = mask | (1 << line)
-                levels[n].append(OrbitRecord(child, order // stab, child_seeds))
+                levels[n].append(OrbitRecord(child, order // count, child_seeds))
                 if n < limit and line + 1 < degree:
                     offset = line - first_cand
                     if visit:  # a later sibling: rebuilt when popped
@@ -334,11 +345,11 @@ def enumerate_all(
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
         raise ValueError(f"max_n out of range: {max_n}")
-    # rev_table admits only a transitive group: level 1 is one orbit, {line 1}.
+    # coset_tables admits only a transitive group: level 1 is one orbit, {line 1}.
     records = [OrbitRecord(0, 1), OrbitRecord(1, group.degree)][: limit + 1]
     pool = _start_pool(group, workers)
     if pool is None:
-        return records + _walk([1], group.rev_table, group.degree, limit)
+        return records + _walk([1], *group.coset_tables, limit)
     parents = [1]
     try:
         for _ in range(limit - 1):
@@ -360,9 +371,10 @@ def enumerate_all(
 
 
 def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | None:
-    """Forked pool whose workers take the group table from their
-    initializer, inherited under fork rather than pickled; None for
-    in-process work. More than one worker without fork raises WorkerError.
+    """Forked pool whose workers take the group's coset_tables (213 KB
+    for W(E6)) from their initializer, inherited under fork rather than
+    pickled; None for in-process work. More than one worker without fork
+    raises WorkerError.
     """
     if workers <= 1:
         return None
@@ -376,5 +388,5 @@ def _start_pool(group: PermutationGroup, workers: int) -> ProcessPoolExecutor | 
         max_workers=workers,
         mp_context=ctx,
         initializer=_pool_init,
-        initargs=(group.rev_table, group.degree),
+        initargs=group.coset_tables,
     )

@@ -46,9 +46,32 @@ def rev_key(mask, degree=LINE_COUNT):
     return sum(1 << (degree - 1 - i) for i in indices(mask))
 
 
+def group_table(group):
+    """Every element of the group as a row of point images, built from
+    group.elements alone, in the order of the rows the package's coset
+    tables number: block p, rows p * B to (p + 1) * B - 1 with
+    B = order // degree, holds t_p followed by h, for h running through the
+    elements that fix point 0 in table order and t_p the first element in
+    table order that sends p to point 0."""
+    el = group.elements
+    fixing = el[el[:, 0] == 0]
+    blocks = []
+    for p in range(group.degree):
+        t = el[np.flatnonzero(el[:, p] == 0)[0]]
+        blocks.append(fixing[:, t])  # point c goes to t(c), then on through h
+    return np.concatenate(blocks)
+
+
+def table_keys(mask, table):
+    """rev_key of the mask's image under every row of a group_table."""
+    degree = table.shape[1]
+    images = table[:, indices(mask)].astype(np.int64)
+    return np.left_shift(1, degree - 1 - images).sum(axis=1)
+
+
 def _image_keys(mask, group):
     """rev_key of the image of the mask under every element of the group."""
-    return group.rev_table[:, indices(mask)].sum(axis=1)
+    return table_keys(mask, group.elements)
 
 
 def is_minimal(mask, group):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import apply_perm, graph_from_edges, is_simple_graph, relabel
+from oracles import apply_perm, graph_from_edges, group_table, indices, is_simple_graph, relabel
 from weyl27 import checks, graphs
 from weyl27.graphs import (
     canonical_certificate,
@@ -196,7 +196,7 @@ def is_automorphism(adj, perm):
 
 
 def test_stabilizer_automorphisms_are_automorphisms(ctx):
-    seeds = list(stabilizer_automorphisms(ctx.records, ctx.group.rev_table))
+    seeds = list(stabilizer_automorphisms(ctx.records, ctx.group))
     assert len(seeds) == len(ctx.records)
     count = 0
     for rec, perms in zip(ctx.records, seeds):
@@ -213,10 +213,32 @@ def test_stabilizer_automorphisms_are_automorphisms(ctx):
 def test_rows_that_move_the_set_are_no_seeds():
     # row 5 * B of the table sends line 6 to line 1, so it moves {1, 2}:
     # a record made over another table could carry it
-    tbl = weyl_group().rev_table
-    block = tbl.shape[0] // tbl.shape[1]
+    group = weyl_group()
+    block = group.order // group.degree
+    assert group_table(group)[5 * block, 5] == 0
     rec = OrbitRecord(mask_from_lines([1, 2]), 216, (5 * block,))
-    assert list(stabilizer_automorphisms([rec], tbl)) == [[]]
+    assert list(stabilizer_automorphisms([rec], group)) == [[]]
+
+
+def oracle_automorphisms(record, table):
+    """The record's stabilizer rows of a group_table that map its set onto
+    itself and move one of its lines, each as a permutation of the vertices
+    of its intersection graph."""
+    lines = indices(record.mask)
+    vertex = {line: k for k, line in enumerate(lines)}
+    perms = []
+    for row in record.stabilizer:
+        image = [int(table[row, i]) for i in lines]
+        if sorted(image) == lines and image != lines:
+            perms.append([vertex[j] for j in image])
+    return perms
+
+
+def test_stabilizer_automorphisms_decode_the_oracle_table_rows(ctx):
+    table = group_table(ctx.group)
+    decoded = list(stabilizer_automorphisms(ctx.records, ctx.group))
+    assert len(decoded) == len(ctx.records) == 5486
+    assert decoded == [oracle_automorphisms(r, table) for r in ctx.records]
 
 
 # Searches that stop pruning blow up: with leaf ties ignored the edgeless
@@ -271,15 +293,15 @@ def test_symmetric_graphs_take_few_refinements(name, monkeypatch):
 
 
 def test_seeded_and_unseeded_certificates_agree(ctx, certificates, monkeypatch):
-    calls = count_refinements(monkeypatch, cap=14683 + 24533)
+    calls = count_refinements(monkeypatch, cap=14710 + 24533)
     seeded = record_certificates(ctx.records, ctx.group)
     seeded_calls = len(calls)
     unseeded = [canonical_certificate(intersection_graph(r.mask)) for r in ctx.records]
     assert seeded == unseeded == certificates
     digest = hashlib.sha256("\n".join(seeded).encode()).hexdigest()
     assert digest == CERTIFICATES_SHA256
-    # the seeds spare refinements: 24533 unseeded, 14683 with four rows each
-    assert seeded_calls <= 14683
+    # the seeds spare refinements: 24533 unseeded, 14710 with four rows each
+    assert seeded_calls <= 14710
     assert 16000 < len(calls) - seeded_calls <= 24533
 
 

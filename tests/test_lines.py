@@ -6,13 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from oracles import compose, invert, line_class, preserves_pairing
+from oracles import compose, group_table, invert, line_class, preserves_pairing
 from weyl27.lattice import inner_product
 from weyl27.lines import (
     AMBIENT,
     ANTICANONICAL,
     LINE_COUNT,
     SIMPLE_ROOTS,
+    PermutationGroup,
     build_line_system,
     cycle_notation,
     generate_group,
@@ -268,27 +269,48 @@ def test_group_is_transitive_on_lines():
     assert seen == set(range(27))
 
 
-def test_rev_table_is_blocked_by_the_point_sent_to_line_1():
+def row_set(rows):
+    """The rows of a 2-d table as a set of bytes."""
+    return {bytes(row) for row in rows}
+
+
+def test_coset_tables_lay_out_the_group_table_row_for_row():
     group = weyl_group()
-    tbl = group.rev_table
+    stab, coset = group.coset_tables
     block = group.order // group.degree
-    assert tbl.dtype == np.int32
-    assert tbl.shape == (group.order, group.degree) == (27 * block, 27)
-    images = group.degree - 1 - np.log2(tbl).astype(np.int64)
-    assert (images[0] == np.arange(27)).all()  # the identity is row 0
+    assert stab.dtype == np.int32 and stab.shape == (27, block) == (27, 1920)
+    assert coset.dtype == np.intp and coset.shape == (27, 27)
+    assert stab.nbytes + coset.nbytes == 213_192
+    table = group_table(group)
+    assert table.shape == (group.order, 27)
+    # row p * B + h holds in column c the bit stab[coset[c, p], h]
+    keys = stab[coset.T].transpose(0, 2, 1).reshape(group.order, 27)
+    assert np.array_equal(keys, np.left_shift(1, 26 - table.astype(np.int64)))
+    assert (table[0] == np.arange(27)).all()  # row 0 is the identity
+    el = group.elements
     for p in range(27):
-        rows = images[p * block : (p + 1) * block]
-        assert (rows[:, p] == 0).all()
-        # each block keeps the lex order of the element table
-        assert (np.lexsort(rows.T[::-1]) == np.arange(block)).all()
-    # the rows are the element table, reordered
-    assert (images[np.lexsort(images.T[::-1])] == group.elements).all()
+        # block p is exactly the elements that send line p + 1 to line 1
+        rows = table[p * block : (p + 1) * block]
+        assert row_set(rows) == row_set(el[el[:, p] == 0])
 
 
-def test_rev_table_rejects_an_intransitive_group():
+def test_coset_tables_reject_an_intransitive_group():
     one_reflection = generate_group([standard_generators()[0]])
     with pytest.raises(ValueError, match="transitive"):
-        one_reflection.rev_table
+        one_reflection.coset_tables
+
+
+def test_coset_tables_need_the_identity_first():
+    group = weyl_group()
+    shuffled = PermutationGroup(group.degree, group.generators, group.elements[::-1])
+    with pytest.raises(ValueError, match="identity"):
+        shuffled.coset_tables
+
+
+def test_coset_tables_need_int32_keys():
+    rotation = tuple(range(1, 32)) + (0,)
+    with pytest.raises(ValueError, match="degree <= 31"):
+        generate_group([rotation]).coset_tables
 
 
 def test_every_element_pulls_back_to_an_isometry_fixing_the_canonical_class():

@@ -11,14 +11,16 @@ import pytest
 
 from oracles import (
     apply_perm,
+    group_table,
     image_rows,
     indices,
     is_minimal,
     lex_less,
     minimal_representative,
     rev_key,
+    table_keys,
 )
-from weyl27 import orbits
+from weyl27 import checks, orbits
 from weyl27.expectations import load_expectations
 from weyl27.graphs import intersection_graph
 from weyl27.invariants import invariant_report
@@ -43,8 +45,8 @@ def brute_minimum(mask, group):
 
 
 def walk(parents, group, limit):
-    """_walk over the group's table: the descendants of parents up to limit lines."""
-    return _walk(parents, group.rev_table, group.degree, limit)
+    """_walk over the group's coset tables: the descendants of parents up to limit lines."""
+    return _walk(parents, *group.coset_tables, limit)
 
 
 def children(parents, group):
@@ -270,24 +272,22 @@ def test_walk_roots_with_no_children_yield_nothing():
     assert walk([mask_from_lines([1, 27])], group, 27) == []
 
 
-def line_images(tbl, row):
-    """Row row of a rev_table as the permutation of line indices it is:
-    entry [row, i] is 2**(degree - 1 - j) for the image j of line i."""
-    degree = tbl.shape[1]
-    return [degree - int(entry).bit_length() for entry in tbl[row]]
+def line_images(table, row):
+    """Row row of a group_table as the permutation of line indices it is."""
+    return table[row].tolist()
 
 
 def assert_rows_fix_sets(records, group):
     """Each walker record keeps the first STABILIZER_SEEDS table rows past
     the identity whose element maps its set onto itself, or all of them."""
-    tbl = group.rev_table
+    table = group_table(group)
     for r in records:
         stab = group.order // r.orbit_size
         assert len(r.stabilizer) == min(STABILIZER_SEEDS, stab - 1), r
         assert list(r.stabilizer) == sorted(set(r.stabilizer)) and 0 not in r.stabilizer
         lines = indices(r.mask)
         for row in r.stabilizer:
-            image = line_images(tbl, row)
+            image = line_images(table, row)
             assert sorted(image[i] for i in lines) == lines
 
 
@@ -296,9 +296,9 @@ def test_stabilizer_rows_map_each_set_onto_itself(ctx):
     assert all(not r.stabilizer for r in ctx.records if r.n < 2)
     assert_rows_fix_sets(walked, ctx.group)
     # they are the first such rows in table order, by a scan of the whole table
-    tbl = ctx.group.rev_table
+    table = group_table(ctx.group)
     for r in random.Random(429).sample(walked, 60):
-        keys = tbl[:, indices(r.mask)].sum(axis=1)
+        keys = table_keys(r.mask, table)
         first = np.flatnonzero(keys == keys[0])[1 : 1 + STABILIZER_SEEDS]
         assert list(r.stabilizer) == first.tolist()
 
@@ -315,21 +315,31 @@ def test_pool_task_keeps_the_serial_walks_stabilizer_rows(ctx):
             assert [r.stabilizer for r in task] == [serial[r.mask] for r in task]
 
 
+def oracle_columns(group):
+    """The keys of group_table as [point, block, row in block]: entry
+    [c, p, h] is 2**(degree - 1 - j) for the image j of point c under row
+    p * B + h."""
+    degree = group.degree
+    table = group_table(group).astype(np.int64)
+    keys = np.left_shift(1, degree - 1 - table)
+    return keys.T.reshape(degree, degree, group.order // degree)
+
+
 def test_inherited_new_block_keys_match_a_fresh_sum(monkeypatch):
     # at every node, the keys over its candidates' blocks that it inherited
     # equal the column sum the scan used to compute afresh
     group = weyl_group()
     degree = group.degree
-    cols = group.rev_table.T.reshape(degree, degree, group.order // degree)
+    cols = oracle_columns(group)
     top = 1 << (degree - 1)
     scan = orbits._scan
     nodes = []
 
-    def checked(idx, keys, new_keys, cols_, tbl, seeds):
+    def checked(idx, keys, new_keys, stab, coset, seeds):
         first = idx[-1] + 1
         assert np.array_equal(new_keys, cols[list(idx), first:].sum(axis=0) + top), idx
         nodes.append(sum(1 << i for i in idx))
-        return scan(idx, keys, new_keys, cols_, tbl, seeds)
+        return scan(idx, keys, new_keys, stab, coset, seeds)
 
     monkeypatch.setattr(orbits, "_scan", checked)
     records = walk([1], group, 8)
@@ -344,14 +354,14 @@ def test_keys_of_every_node_match_a_fresh_sum(monkeypatch):
     # later sibling), equal the column sum over those blocks
     group = weyl_group()
     degree = group.degree
-    cols = group.rev_table.T.reshape(degree, degree, group.order // degree)
+    cols = oracle_columns(group)
     scan = orbits._scan
     nodes = []
 
-    def checked(idx, keys, new_keys, cols_, tbl, seeds):
+    def checked(idx, keys, new_keys, stab, coset, seeds):
         assert np.array_equal(keys, cols[np.ix_(idx, idx)].sum(axis=0)), idx
         nodes.append(idx)
-        return scan(idx, keys, new_keys, cols_, tbl, seeds)
+        return scan(idx, keys, new_keys, stab, coset, seeds)
 
     monkeypatch.setattr(orbits, "_scan", checked)
     walk([1], group, 8)
@@ -366,8 +376,8 @@ def scanned_nodes(run):
     scan = orbits._scan
     nodes = []
 
-    def recorded(idx, keys, new_keys, cols, tbl, seeds):
-        out = scan(idx, keys, new_keys, cols, tbl, seeds)
+    def recorded(idx, keys, new_keys, stab, coset, seeds):
+        out = scan(idx, keys, new_keys, stab, coset, seeds)
         nodes.append((sum(1 << i for i in idx), seeds, out[0]))
         return out
 
@@ -497,10 +507,10 @@ def test_enumerate_all_worker_determinism():
     serial = enumerate_all(group, max_n=8, workers=1)
     forked = enumerate_all(group, max_n=8, workers=2)
     assert record_rows(serial) == record_rows(forked)
-    # the workers got the table from their initializer: the parent keeps
-    # neither the group nor its table in module state
-    tbl = group.rev_table
-    assert not [name for name, v in vars(orbits).items() if v is group or v is tbl]
+    # the workers got the tables from their initializer: the parent keeps
+    # neither the group nor its tables in module state
+    held = (group, group.coset_tables, *group.coset_tables)
+    assert not [name for name, v in vars(orbits).items() if any(v is x for x in held)]
 
 
 def test_serial_and_pooled_enumerations_agree_on_all_levels(ctx):
@@ -518,7 +528,7 @@ def test_depth_first_enumeration_memory():
     # and pending siblings share their parent's keys (a copy each measured
     # 8.5 MB against 5.1 MB)
     group = weyl_group()
-    group.rev_table  # built and cached before the trace starts
+    group.coset_tables  # built and cached before the trace starts
     tracemalloc.start()
     try:
         enumerate_all(group, workers=1)
@@ -526,6 +536,18 @@ def test_depth_first_enumeration_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6.5 * 2**20
+
+
+def test_pipeline_context_memory():
+    # the group is held as its coset tables, 213 KB, rather than as one row
+    # of 27 keys per element (5.6 MB): the traced peak reads about 6.7 MB
+    tracemalloc.start()
+    try:
+        checks.build_context(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_enumerate_all_raises_without_fork(monkeypatch):
