@@ -68,6 +68,13 @@ def _integers(raw: dict, key: str, source: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _strings(raw: dict, key: str, source: str) -> tuple[str, ...]:
+    values = raw[key]
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ExpectationsError(f"{source}: {key} needs a list of strings")
+    return tuple(values)
+
+
 def _is_torsion(value) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
@@ -121,7 +128,7 @@ def _parse(raw, source: str) -> Expectations:
         )
     return Expectations(
         group_order=_integer(raw, "group_order", source),
-        generator_cycles=tuple(raw["generator_cycles"]),
+        generator_cycles=_strings(raw, "generator_cycles", source),
         orbit_counts=orbit_counts,
         total_orbits=_integer(raw, "total_orbits", source),
         power_set_size=_integer(raw, "power_set_size", source),

@@ -34,10 +34,9 @@ set. It needs a transitive group; coset_tables refuses any other.
 
 The minimal representatives form a tree: a child adds one line past its
 parent's last. One walker, _walk, visits it depth first from lex-sorted
-roots, and each child inherits its keys over its own blocks from its
-parent's scan instead of recomputing them (orderly generation in the sense
-of Read and McKay). It inherits its keys over its candidates' blocks too:
-those are its parent's plus one column, its own line's. In process it
+roots (orderly generation in the sense of Read and McKay). Each node holds
+one array, its set's keys over every block, and a child's is its parent's
+plus one column, its own line's, rather than a fresh sum. In process it
 walks the whole tree from {line 1}; a pool runs it level by level, each
 task a slice of one level's parents cut one level below them. Every node
 runs one scan rule, _scan, and each record keeps a few of the rows that
@@ -115,11 +114,21 @@ def _unrev(key: int, degree: int) -> int:
     return mask
 
 
+def _set_keys(idx: Sequence[int], stab: np.ndarray, coset: np.ndarray) -> np.ndarray:
+    """The keys of the set of points idx over every block of the tables:
+    row p is the set's keys over block p, summed from its points' rows.
+    It adds one point's column at a time: one gather of every column and a
+    sum over it took about 1.7 times as long at 13 points."""
+    keys = np.zeros((len(coset), stab.shape[1]), np.int32)
+    for c in idx:
+        keys += stab[coset[c]]
+    return keys
+
+
 def _orbit_keys(mask: int, group: PermutationGroup) -> np.ndarray:
     """The key of the mask's image under every element, in block order,
     the identity's first."""
-    stab, coset = group.coset_tables
-    return stab[coset[list(_checked_bits(mask, group.degree))]].sum(axis=0).ravel()
+    return _set_keys(_checked_bits(mask, group.degree), *group.coset_tables).ravel()
 
 
 def orbit_size(mask: int, group: PermutationGroup) -> int:
@@ -150,11 +159,10 @@ STABILIZER_SEEDS = 4
 def _scan(
     idx: tuple[int, ...],
     keys: np.ndarray,
-    new_keys: np.ndarray,
     stab: np.ndarray,
     coset: np.ndarray,
     seeds: tuple[int, ...],
-) -> tuple[list[int], np.ndarray, list[int], list[int], list[tuple[int, ...]]]:
+) -> tuple[list[int], list[int], list[int], list[tuple[int, ...]]]:
     """The scan rule of one nonempty minimal parent with line indices idx.
 
     stab and coset are PermutationGroup.coset_tables. seeds are rows of
@@ -165,31 +173,32 @@ def _scan(
     minimal and the scan would reject it. For row r = p * B + h that test
     reads stab[coset[c, p], h] > stab[c, 0].
 
-    keys[k] holds the parent's keys over the rows of block idx[k], the
-    blocks of its own lines. Every remaining candidate c scans those
-    blocks, where keys gains c's column, and block c, whose keys are
-    new_keys[c - idx[-1] - 1]: the parent's columns summed over block c,
-    plus the top key bit for g(c) = line 1. A candidate is kept when no row
-    of either part beats the identity's key (the first row of block 0).
-    The rows that tie it fix the candidate's set: their count is its
-    stabilizer order, and the first STABILIZER_SEEDS of them past the
-    identity are kept as table row numbers. Returns the scanned candidate
-    lines, their keys over the parent's blocks, the positions among them
+    keys[p] holds the parent's keys over block p, for every p. Every
+    remaining candidate c scans the blocks of the parent's lines, where
+    keys[idx] gains c's column, and block c, where keys[c] gains the top
+    key bit, since coset[c, c] = 0 and every row of block c sends c to
+    line 1; block c is compared less that bit, against the identity's key
+    less it. A candidate is kept when no row of either part beats the
+    identity's key (the first row of block 0). The rows that tie it fix the
+    candidate's set: their count is its stabilizer order, and the first
+    STABILIZER_SEEDS of them past the identity are kept as table row
+    numbers. Returns the scanned candidate lines, the positions among them
     of the kept ones, their stabilizer counts and their stabilizer rows.
     """
     first_cand = idx[-1] + 1
-    block = new_keys.shape[1]
+    block = stab.shape[1]
     cands = np.arange(first_cand, len(coset))
     if seeds:
         p, h = np.divmod(seeds, block)
         images = stab[coset[first_cand:, p], h]  # [candidate, seed]
         cands = cands[(images <= stab[first_cand:, :1]).all(axis=1)]
     cand_keys = stab[coset[cands[:, None], idx]]  # one gather, then the sum in place
-    cand_keys += keys
+    cand_keys += keys[list(idx)]
     cand_keys = cand_keys.reshape(len(cands), len(idx) * block)
     own_keys = cand_keys[:, 0]
-    new_block = new_keys[cands - first_cand]
-    keep = (cand_keys.max(axis=1) == own_keys) & (new_block.max(axis=1) <= own_keys)
+    new_block = keys[cands]  # block c's keys, less the top bit that each of them holds
+    new_own = own_keys - stab[0, 0]
+    keep = (cand_keys.max(axis=1) == own_keys) & (new_block.max(axis=1) <= new_own)
     kept = np.flatnonzero(keep).tolist()
     lines = cands.tolist()
     stabs = []
@@ -197,11 +206,11 @@ def _scan(
     base = len(idx) * block
     for k in kept:
         ties = np.flatnonzero(cand_keys[k] == own_keys[k])  # ties[0] is the identity
-        new_ties = np.flatnonzero(new_block[k] == own_keys[k])
+        new_ties = np.flatnonzero(new_block[k] == new_own[k])
         stabs.append(len(ties) + len(new_ties))
         first = np.concatenate((ties[: STABILIZER_SEEDS + 1], new_ties[:STABILIZER_SEEDS] + base))
         rows.append(_stabilizer_rows(idx + (lines[k],), first, block))
-    return lines, cand_keys, kept, stabs, rows
+    return lines, kept, stabs, rows
 
 
 def _stabilizer_rows(idx: tuple[int, ...], ties: np.ndarray, block: int) -> tuple[int, ...]:
@@ -262,66 +271,51 @@ def _walk(
     of one size, sorted by (size, lex).
 
     stab and coset are PermutationGroup.coset_tables: point c's keys over
-    block p are stab[coset[c, p]]. Root by root, a parent's keys over its
-    own blocks and over its candidates' blocks are computed afresh and its
-    subtree is walked depth first. A root's stabilizer rows
-    are the first STABILIZER_SEEDS ties past the identity in its own keys,
-    the rows the walk from {line 1} gives its record; a child's are its
-    record's. Both travel on the stack with the node, and _scan prunes the
-    node's candidates by them. A child's keys over its own blocks are its
-    parent's scan row for it over the parent's blocks, followed by its row
-    over its own new block. Its keys over the blocks of its candidates, the
-    lines past its own, are its parent's for those lines plus its own
-    line's column. Pending siblings share both of their parent's arrays
-    and add their own column when they are popped; only the first child,
-    visited next, takes its row over the parent's blocks from the scan. So
-    the stack holds about one pair of key arrays per level, not one per
-    pending sibling (over the whole tree, a traced peak of 5.1 MB against
-    8.5 MB). Preorder is lex order within a level, since a child keeps its
-    parent as its prefix. Each node's candidate keys over its own blocks
-    are dropped before its children are visited. A parent without line 1,
-    the empty one included, raises ValueError: only nonempty minimal
-    parents have their children in these blocks.
+    block p are stab[coset[c, p]]. A node's one array of state is its
+    set's keys over every block, of shape (degree, B): row p sums its
+    lines' keys over block p. Every node gets it on one path when popped,
+    as the array it was pushed with plus its own last line's column. A
+    root is pushed with the sum over its other lines, which a root right
+    after a sibling shares rather than sums again, and its stabilizer
+    rows are the first STABILIZER_SEEDS ties past the identity in its keys
+    over its own blocks, the rows the walk from {line 1} gives its record;
+    a child is pushed with its parent's array and its record's rows. _scan
+    prunes the node's candidates by those rows. Pending siblings share
+    their parent's array, so the stack holds about one array per level, not
+    one per pending sibling (over the whole tree, a traced peak of 5.6 MB).
+    Preorder is lex order within a level, since a child keeps its parent as
+    its prefix. A parent without line 1, the empty one included, raises
+    ValueError: only nonempty minimal parents have their children in these
+    blocks.
     """
     degree, block = stab.shape
     order = degree * block
-    top = 1 << (degree - 1)
     levels: list[list[OrbitRecord]] = [[] for _ in range(limit + 1)]
+    others = None
     for root in parents:
         idx = _bits(root)
         if not idx or idx[0] != 0:
             raise ValueError(f"{list(lines_of_mask(root))} lacks line 1: not a nonempty minimal parent")
         if len(idx) >= limit or idx[-1] + 1 >= degree:
             continue
-        keys = stab[coset[np.ix_(idx, idx)]].sum(axis=0, dtype=np.int32)
-        new_keys = stab[coset[idx, idx[-1] + 1 :]].sum(axis=0, dtype=np.int32) + top
-        seeds = _stabilizer_rows(idx, np.flatnonzero(keys.ravel() == keys[0, 0]), block)
-        stack = [(root, idx, keys, new_keys, -1, seeds)]
+        if idx[:-1] != others:  # a root after a sibling reuses its sum
+            others, other_keys = idx[:-1], _set_keys(idx[:-1], stab, coset)
+        stack = [(root, idx, other_keys, None)]
         while stack:
-            mask, idx, keys, new_keys, at, seeds = stack.pop()
-            if at >= 0:  # a child: its parent's keys plus its own column
-                line = idx[-1]
-                if len(keys) < len(idx):  # it holds its parent's keys
-                    keys = np.concatenate((keys + stab[coset[line, idx[:-1]]], new_keys[at][None]))
-                new_keys = new_keys[at + 1 :] + stab[coset[line, line + 1 :]]
-            lines, cand_keys, kept, stabs, rows = _scan(idx, keys, new_keys, stab, coset, seeds)
+            mask, idx, parent_keys, seeds = stack.pop()
+            keys = stab[coset[idx[-1]]]  # its last line's column, a fresh array
+            keys += parent_keys
+            if seeds is None:  # a root: its rows are the first ties in its own keys
+                seeds = _stabilizer_rows(idx, np.flatnonzero(keys[list(idx)].ravel() == keys[0, 0]), block)
+            lines, kept, stabs, rows = _scan(idx, keys, stab, coset, seeds)
             n = len(idx) + 1
-            first_cand = idx[-1] + 1
             visit = []
             for k, count, child_seeds in zip(kept, stabs, rows):
                 line = lines[k]
                 child = mask | (1 << line)
                 levels[n].append(OrbitRecord(child, order // count, child_seeds))
                 if n < limit and line + 1 < degree:
-                    offset = line - first_cand
-                    if visit:  # a later sibling: rebuilt when popped
-                        child_keys = keys
-                    else:  # the child visited next
-                        child_keys = np.concatenate(
-                            (cand_keys[k].reshape(n - 1, block), new_keys[offset][None])
-                        )
-                    visit.append((child, idx + (line,), child_keys, new_keys, offset, child_seeds))
-            del cand_keys
+                    visit.append((child, idx + (line,), keys, child_seeds))
             stack.extend(reversed(visit))
     return [record for level in levels for record in level]
 
@@ -334,17 +328,19 @@ def enumerate_all(
     Minimal representatives and their orbit lengths come from the extension
     tree rooted at {line 1}, up to max_n lines, all by one walker, _walk.
     One worker walks the whole tree depth first in this process, each child
-    inheriting its parent's keys. Workers > 1 fork one process pool and
-    build it level by level: each level maps over the pool as that many
-    contiguous slices of the parents, in order, and each task is the walk
-    from its slice cut one level below it. Both give the same records in
-    the same order, for any worker count. Workers > 1 without the fork
-    start method, an exception in a pool task, or a worker that dies raises
-    WorkerError.
+    adding its own line's column to its parent's keys. Workers > 1 fork one
+    process pool and build it level by level: each level maps over the pool
+    as that many contiguous slices of the parents, in order, and each task
+    is the walk from its slice cut one level below it. Both give the same
+    records in the same order, for any worker count. Workers < 1 raises
+    ValueError. Workers > 1 without the fork start method, an exception in
+    a pool task, or a worker that dies raises WorkerError.
     """
     limit = group.degree if max_n is None else max_n
     if not 0 <= limit <= group.degree:
         raise ValueError(f"max_n out of range: {max_n}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1: {workers}")
     # coset_tables admits only a transitive group: level 1 is one orbit, {line 1}.
     records = [OrbitRecord(0, 1), OrbitRecord(1, group.degree)][: limit + 1]
     pool = _start_pool(group, workers)

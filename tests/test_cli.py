@@ -376,6 +376,16 @@ MALFORMED_EXPECTATIONS = {
         _edited(lambda raw: raw["zariski_pairs"][1].update(h1_torsion=[[2.0], []])),
         "zariski pair 2: h1_torsion has an entry of the wrong type",
     ),
+    # a cycle list of another shape would load and fail the generator check,
+    # blaming the group rather than the file
+    "string-generator-cycles": (
+        _edited(lambda raw: raw.update(generator_cycles="(1,2)")),
+        "generator_cycles needs a list of strings",
+    ),
+    "int-generator-cycles": (
+        _edited(lambda raw: raw.update(generator_cycles=[1, 2])),
+        "generator_cycles needs a list of strings",
+    ),
 }
 
 

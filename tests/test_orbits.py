@@ -325,49 +325,31 @@ def oracle_columns(group):
     return keys.T.reshape(degree, degree, group.order // degree)
 
 
-def test_inherited_new_block_keys_match_a_fresh_sum(monkeypatch):
-    # at every node, the keys over its candidates' blocks that it inherited
-    # equal the column sum the scan used to compute afresh
+def test_keys_of_every_node_match_a_fresh_sum(monkeypatch):
+    # a node's keys over every block, its parent's plus its own line's
+    # column (or, at a root, its other lines' sum, reused from the root
+    # before when they share those lines, plus its last line's), equal the
+    # column sum over its lines
     group = weyl_group()
-    degree = group.degree
     cols = oracle_columns(group)
-    top = 1 << (degree - 1)
     scan = orbits._scan
     nodes = []
 
-    def checked(idx, keys, new_keys, stab, coset, seeds):
-        first = idx[-1] + 1
-        assert np.array_equal(new_keys, cols[list(idx), first:].sum(axis=0) + top), idx
+    def checked(idx, keys, stab, coset, seeds):
+        assert np.array_equal(keys, cols[list(idx)].sum(axis=0)), idx
         nodes.append(sum(1 << i for i in idx))
-        return scan(idx, keys, new_keys, stab, coset, seeds)
+        return scan(idx, keys, stab, coset, seeds)
 
     monkeypatch.setattr(orbits, "_scan", checked)
     records = walk([1], group, 8)
     # every node below the cut with a line left to add was scanned
     inner = [r.mask for r in records if r.n < 8 and not r.mask >> 26]
     assert sorted(nodes) == sorted([1, *inner])
-
-
-def test_keys_of_every_node_match_a_fresh_sum(monkeypatch):
-    # a node's keys over its own blocks, whether taken from its parent's
-    # scan (a first child) or rebuilt from its parent's keys when popped (a
-    # later sibling), equal the column sum over those blocks
-    group = weyl_group()
-    degree = group.degree
-    cols = oracle_columns(group)
-    scan = orbits._scan
-    nodes = []
-
-    def checked(idx, keys, new_keys, stab, coset, seeds):
-        assert np.array_equal(keys, cols[np.ix_(idx, idx)].sum(axis=0)), idx
-        nodes.append(idx)
-        return scan(idx, keys, new_keys, stab, coset, seeds)
-
-    monkeypatch.setattr(orbits, "_scan", checked)
-    walk([1], group, 8)
-    # a first child is scanned right after its parent, a later sibling not
-    first = sum(idx[:-1] == before for before, idx in zip(nodes, nodes[1:]))
-    assert 20 < first < len(nodes) - 20
+    # the roots of a pool task: a slice of one level, scanned in order
+    level = [mask for mask in inner if mask.bit_count() == 5]
+    nodes.clear()
+    walk(level, group, 6)
+    assert nodes == level
 
 
 def scanned_nodes(run):
@@ -376,8 +358,8 @@ def scanned_nodes(run):
     scan = orbits._scan
     nodes = []
 
-    def recorded(idx, keys, new_keys, stab, coset, seeds):
-        out = scan(idx, keys, new_keys, stab, coset, seeds)
+    def recorded(idx, keys, stab, coset, seeds):
+        out = scan(idx, keys, stab, coset, seeds)
         nodes.append((sum(1 << i for i in idx), seeds, out[0]))
         return out
 
@@ -523,10 +505,9 @@ def test_serial_and_pooled_enumerations_agree_on_all_levels(ctx):
 
 
 def test_depth_first_enumeration_memory():
-    # each node drops its candidate arrays before its children are visited
-    # (holding them on the stack measured about 33 MB against about 7 MB),
-    # and pending siblings share their parent's keys (a copy each measured
-    # 8.5 MB against 5.1 MB)
+    # a node holds one key array over every block, 207 KB, and pending
+    # siblings share their parent's rather than hold a copy each, so the
+    # stack holds about one array per level: the traced peak reads 5.6 MB
     group = weyl_group()
     group.coset_tables  # built and cached before the trace starts
     tracemalloc.start()
@@ -561,6 +542,12 @@ def test_enumerate_all_raises_without_fork(monkeypatch):
     with pytest.raises(WorkerError, match="2 workers need the fork start method"):
         enumerate_all(group, max_n=5, workers=2)
     assert enumerate_all(group, max_n=5, workers=1) == serial  # one worker needs no pool
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_enumerate_all_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1: {workers}"):
+        enumerate_all(weyl_group(), max_n=3, workers=workers)
 
 
 def test_enumerated_orbit_sizes_match_rescan(ctx):
