@@ -325,6 +325,28 @@ def oracle_columns(group):
     return keys.T.reshape(degree, degree, group.order // degree)
 
 
+def test_inherited_new_block_keys_match_a_fresh_sum(monkeypatch):
+    # at every node, the keys over its candidates' blocks that it inherited
+    # (the blocks past its last line, which the scan reads as block c of
+    # candidate c) equal the column sum over its lines
+    group = weyl_group()
+    cols = oracle_columns(group)
+    scan = orbits._scan
+    nodes = []
+
+    def checked(idx, keys, stab, coset, seeds):
+        first = idx[-1] + 1
+        assert np.array_equal(keys[first:], cols[list(idx), first:].sum(axis=0)), idx
+        nodes.append(sum(1 << i for i in idx))
+        return scan(idx, keys, stab, coset, seeds)
+
+    monkeypatch.setattr(orbits, "_scan", checked)
+    records = walk([1], group, 8)
+    # every node below the cut with a line left to add was scanned
+    inner = [r.mask for r in records if r.n < 8 and not r.mask >> 26]
+    assert sorted(nodes) == sorted([1, *inner])
+
+
 def test_keys_of_every_node_match_a_fresh_sum(monkeypatch):
     # a node's keys over every block, its parent's plus its own line's
     # column (or, at a root, its other lines' sum, reused from the root
@@ -342,7 +364,6 @@ def test_keys_of_every_node_match_a_fresh_sum(monkeypatch):
 
     monkeypatch.setattr(orbits, "_scan", checked)
     records = walk([1], group, 8)
-    # every node below the cut with a line left to add was scanned
     inner = [r.mask for r in records if r.n < 8 and not r.mask >> 26]
     assert sorted(nodes) == sorted([1, *inner])
     # the roots of a pool task: a slice of one level, scanned in order
